@@ -52,10 +52,6 @@ use std::time::Instant;
 
 const PATTERNS: usize = 256;
 const SMOKE_PATTERNS: usize = 64;
-/// Patterns for the verdict-mode global-drop run (64 chunks at W=4):
-/// enough chunk-dimension parallelism for the shared detected bitmap to
-/// pay off on a multi-core host.
-const DROP_PATTERNS: usize = 4096;
 /// Campaign timings are min-of-N: the ladder's original single-sample
 /// timing made the 200k rung report warm *slower* than cold — one
 /// allocator / page-cache hiccup in a 0.4 s sample was enough to invert
@@ -339,73 +335,6 @@ fn layout_comparison(
     (times[0], times[1])
 }
 
-struct DropResult {
-    patterns: usize,
-    t_unit: f64,
-    t_global: f64,
-    dropped_global: usize,
-}
-
-impl DropResult {
-    fn speedup(&self) -> f64 {
-        self.t_unit / self.t_global
-    }
-}
-
-/// The verdict-mode global-drop run on the 50k rung: the identical
-/// `DROP_PATTERNS`-pattern campaign under the default unit drop scope
-/// and under [`DropScope::Global`]'s shared detected bitmap. The
-/// detected *set* must match exactly (only first-detection indices are
-/// schedule-dependent under global scope); the speedup comes from
-/// chunk-dimension parallelism on the undetected tail and is therefore
-/// a multi-core effect — the >= 2x guard is gated on `host_cpus >= 4`.
-fn global_drop_run(rung: &ScaleRung, workers: usize, runs: usize) -> DropResult {
-    let net = rung.build();
-    let (lev, _) = renumber::levelized(&net);
-    let faults = universe::stuck_at_universe(&lev);
-    let collapsed = collapse_with(&lev, &faults, workers);
-    let sim = FaultSimulator::new(&lev);
-    let patterns = random_patterns(
-        lev.primary_inputs().len(),
-        DROP_PATTERNS,
-        rung.seed ^ 0x9e37,
-    );
-    let campaign = Campaign::new(0, workers);
-    let opts = PackedOptions::wide(4).with_collapsed(&collapsed).traced();
-    let (unit, t_unit) = secs_min(
-        runs,
-        || {},
-        || sim.campaign_packed(&faults, &patterns, &campaign, opts),
-    );
-    let (global, t_global) = secs_min(
-        runs,
-        || {},
-        || sim.campaign_packed(&faults, &patterns, &campaign, opts.global_drop()),
-    );
-    let unit_set: Vec<bool> = unit
-        .report
-        .first_detection()
-        .iter()
-        .map(|d| d.is_some())
-        .collect();
-    let global_set: Vec<bool> = global
-        .report
-        .first_detection()
-        .iter()
-        .map(|d| d.is_some())
-        .collect();
-    assert_eq!(
-        unit_set, global_set,
-        "global drop scope changed the detected set"
-    );
-    DropResult {
-        patterns: DROP_PATTERNS,
-        t_unit,
-        t_global,
-        dropped_global: global.stats.dropped_global,
-    }
-}
-
 fn smoke(rung: &ScaleRung, workers: usize) {
     TelemetryConfig::on().install();
     let mark = journal::mark();
@@ -548,33 +477,6 @@ fn bench(c: &mut Criterion) {
         million.t_golden_gate_order * 1e3
     );
 
-    let drop = global_drop_run(&ladder[0], workers, MEASURE_RUNS);
-    blog!(
-        "\n  global drop (50k rung, {} patterns, verdict mode): unit {:.1} ms, \
-         global {:.1} ms ({:.2}x, {} walks dropped cross-worker)",
-        drop.patterns,
-        drop.t_unit * 1e3,
-        drop.t_global * 1e3,
-        drop.speedup(),
-        drop.dropped_global
-    );
-    if host_cpus() >= 4 {
-        assert!(
-            drop.speedup() >= 2.0,
-            "acceptance criterion: DropScope::Global must be >= 2x on the \
-             {}-pattern verdict-mode run on a >= 4-CPU host (got {:.2}x on {} CPUs)",
-            drop.patterns,
-            drop.speedup(),
-            host_cpus()
-        );
-    } else {
-        blog!(
-            "  (skipping global-drop >= 2x assertion: host has {} CPU(s) — \
-             the win is chunk-dimension parallelism and needs cores)",
-            host_cpus()
-        );
-    }
-
     let (t_orig, t_lev) = layout_comparison(&ladder[0], workers, PATTERNS, MEASURE_RUNS);
     blog!(
         "\n  layout (50k rung, identical campaign): original order {:.1} ms, \
@@ -628,18 +530,11 @@ fn bench(c: &mut Criterion) {
     let json = format!(
         "{{\n  \"experiment\": \"e20_bigcircuit\",\n  {},\n  \"patterns\": {PATTERNS},\n  \
          \"measure_runs\": {MEASURE_RUNS},\n  \
-         \"rungs\": {{\n    {}\n  }},\n  \"global_drop_50k\": {{\n    \
-         \"patterns\": {},\n    \"campaign_unit\": {:.6},\n    \"campaign_global\": {:.6},\n    \
-         \"global_speedup\": {:.2},\n    \"dropped_global\": {}\n  }},\n  \
+         \"rungs\": {{\n    {}\n  }},\n  \
          \"layout_50k\": {{\n    \"campaign_original_order\": {:.6},\n    \
          \"campaign_level_order\": {:.6}\n  }}\n}}\n",
         env_json(workers, 256),
         rungs.join(",\n    "),
-        drop.patterns,
-        drop.t_unit,
-        drop.t_global,
-        drop.speedup(),
-        drop.dropped_global,
         t_orig,
         t_lev,
     );

@@ -1,13 +1,12 @@
-//! E21 — million-gate campaign *execution*: cold/warm/global-drop
-//! ladder over the packed engine's rebuilt execution phase.
+//! E21 — million-gate campaign *execution*: cold/warm/worker-scaling
+//! ladder over the packed engine's execution phase.
 //!
 //! E20 made campaign *setup* (plan build, collapse, compilation) scale
 //! and cache; this experiment measures what is left once setup is
-//! amortized — the execution phase itself — after the execution PR's
-//! three layers: level-blocked sweep kernels for golden-chunk
-//! evaluation, the zero-allocation steady-state chunk loop (chunk-tag
-//! load skipping, pooled scratch), and opt-in cross-worker fault
-//! dropping (`DropScope::Global`).
+//! amortized — the execution phase itself: level-blocked sweep kernels
+//! for golden-chunk evaluation (built on all workers), and the
+//! chunk-major, zero-allocation detection passes (one work-stealing
+//! pass per golden chunk, each worker loading each chunk once).
 //!
 //! Per rung (50 k and 200 k gates):
 //!
@@ -17,10 +16,9 @@
 //! * **exec phase split** — one telemetry-on pass records the
 //!   `exec.golden_ms` / `exec.walk_ms` / `exec.trace_ms` histograms,
 //!   so the golden/walk/trace shares are measured, not inferred;
-//! * **global drop** — the identical verdict-mode campaign at 4096
-//!   patterns under unit scope vs `DropScope::Global`; the detected
-//!   *set* must match exactly, the ≥ 2x speedup guard is gated on
-//!   `host_cpus >= 4` (the win is chunk-dimension parallelism).
+//! * **worker scaling** — the identical campaign at 4096 patterns (16
+//!   golden chunks at W=4) on 1 worker and on every host CPU; the two
+//!   reports must be identical, and the ratio is recorded as a number.
 //!
 //! A perf-regression guard compares this host's warm 200 k campaign
 //! against the committed `BENCH_bigcircuit.json` baseline and fails
@@ -28,15 +26,15 @@
 //! environment drift, or when no baseline is stamped.
 //!
 //! Set `E21_SMOKE=1` for a seconds-scale CI run: the 200 k rung with a
-//! reduced pattern block and telemetry on, asserting unit ≡ global
-//! detected sets and exporting the run journal to `e21_smoke.jsonl`
+//! reduced pattern block and telemetry on, asserting 1-worker ≡
+//! all-CPU reports and exporting the run journal to `e21_smoke.jsonl`
 //! for `journal_check` validation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, guard_regression, host_cpus, warn_env_drift};
 use rescue_core::campaign::{ArtifactStore, Campaign};
 use rescue_core::faults::collapse::{collapse_with, CollapsedUniverse};
-use rescue_core::faults::simulate::{CampaignRun, FaultSimulator, PackedOptions};
+use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_core::faults::universe;
 use rescue_core::netlist::generate::{scaling_ladder, ScaleRung};
 use rescue_core::netlist::renumber;
@@ -45,7 +43,7 @@ use rescue_core::telemetry::{journal, metrics, TelemetryConfig};
 use std::time::Instant;
 
 const PATTERNS: usize = 256;
-const DROP_PATTERNS: usize = 4096;
+const SCALING_PATTERNS: usize = 4096;
 const SMOKE_PATTERNS: usize = 64;
 const MEASURE_RUNS: usize = 3;
 /// Warm-campaign regression tolerance vs the committed baseline.
@@ -86,14 +84,6 @@ fn secs_min<T>(n: usize, mut setup: impl FnMut(), mut f: impl FnMut() -> T) -> (
     (out.expect("n >= 1"), best)
 }
 
-fn detected_set(run: &CampaignRun) -> Vec<bool> {
-    run.report
-        .first_detection()
-        .iter()
-        .map(|d| d.is_some())
-        .collect()
-}
-
 /// One prepared rung: everything execution needs, setup paid up front.
 struct ExecRung {
     name: &'static str,
@@ -101,11 +91,11 @@ struct ExecRung {
     faults: Vec<rescue_core::faults::Fault>,
     collapsed: CollapsedUniverse,
     patterns: Vec<Vec<bool>>,
-    drop_patterns: Vec<Vec<bool>>,
+    scaling_patterns: Vec<Vec<bool>>,
 }
 
 impl ExecRung {
-    fn prepare(rung: &ScaleRung, workers: usize, n_patterns: usize, n_drop: usize) -> ExecRung {
+    fn prepare(rung: &ScaleRung, workers: usize, n_patterns: usize, n_scaling: usize) -> ExecRung {
         blog!("  [{}] building {} gates...", rung.name, rung.gates);
         let net = rung.build();
         let (lev, _) = renumber::levelized(&net);
@@ -115,7 +105,7 @@ impl ExecRung {
         ExecRung {
             name: rung.name,
             patterns: random_patterns(n_inputs, n_patterns, rung.seed ^ 0x9e37),
-            drop_patterns: random_patterns(n_inputs, n_drop, rung.seed ^ 0x7f4a),
+            scaling_patterns: random_patterns(n_inputs, n_scaling, rung.seed ^ 0x7f4a),
             lev,
             faults,
             collapsed,
@@ -130,14 +120,13 @@ struct ExecResult {
     golden_ms: u64,
     walk_ms: u64,
     trace_ms: u64,
-    t_unit: f64,
-    t_global: f64,
-    dropped_global: usize,
+    t_one: f64,
+    t_all: f64,
 }
 
 impl ExecResult {
-    fn drop_speedup(&self) -> f64 {
-        self.t_unit / self.t_global
+    fn scaling(&self) -> f64 {
+        self.t_one / self.t_all
     }
 }
 
@@ -210,29 +199,21 @@ fn run_exec(rung: &ExecRung, workers: usize, runs: usize) -> ExecResult {
     };
     std::fs::remove_dir_all(&dir).ok();
 
-    // Verdict-mode global drop vs unit scope on the wide pattern block.
+    // Worker scaling on the long pattern block: 1 worker vs all CPUs.
     let sim = FaultSimulator::new(&rung.lev);
-    let (unit, t_unit) = secs_min(
-        runs,
-        || {},
-        || sim.campaign_packed(&rung.faults, &rung.drop_patterns, &campaign, opts),
-    );
-    let (global, t_global) = secs_min(
-        runs,
-        || {},
-        || {
-            sim.campaign_packed(
-                &rung.faults,
-                &rung.drop_patterns,
-                &campaign,
-                opts.global_drop(),
-            )
-        },
-    );
+    let scaling_run = |workers: usize| {
+        let campaign = Campaign::new(0, workers);
+        secs_min(
+            runs,
+            || {},
+            || sim.campaign_packed(&rung.faults, &rung.scaling_patterns, &campaign, opts),
+        )
+    };
+    let (one, t_one) = scaling_run(1);
+    let (all, t_all) = scaling_run(workers);
     assert_eq!(
-        detected_set(&unit),
-        detected_set(&global),
-        "{} rung: global drop scope changed the detected set",
+        one.report, all.report,
+        "{} rung: {workers}-worker report differs from the 1-worker report",
         rung.name
     );
 
@@ -243,17 +224,16 @@ fn run_exec(rung: &ExecRung, workers: usize, runs: usize) -> ExecResult {
         golden_ms: phase_ms("exec.golden_ms"),
         walk_ms: phase_ms("exec.walk_ms"),
         trace_ms: phase_ms("exec.trace_ms"),
-        t_unit,
-        t_global,
-        dropped_global: global.stats.dropped_global,
+        t_one,
+        t_all,
     }
 }
 
 fn smoke(rung: &ScaleRung, workers: usize) {
     TelemetryConfig::on().install();
     let mark = journal::mark();
-    // 8x the campaign block for the drop run: at W=4 that is two 256-
-    // lane chunks, so the cross-chunk consult path actually executes.
+    // 8x the campaign block for the scaling run: at W=4 that is two
+    // 256-lane chunks, so more than one chunk-major pass executes.
     let prepared = ExecRung::prepare(rung, workers, SMOKE_PATTERNS, 8 * SMOKE_PATTERNS);
     let r = run_exec(&prepared, workers, 1);
     let j = journal::Journal::take_since(mark);
@@ -263,15 +243,14 @@ fn smoke(rung: &ScaleRung, workers: usize) {
         .expect("write smoke journal");
     blog!(
         "  smoke [{}]: cold {:.0} ms, warm {:.0} ms, exec golden/walk/trace \
-         {}/{}/{} ms, global drop {:.2}x ({} dropped), {} journal events -> {path}",
+         {}/{}/{} ms, 1 vs {workers} workers {:.2}x, {} journal events -> {path}",
         r.name,
         r.t_cold * 1e3,
         r.t_warm * 1e3,
         r.golden_ms,
         r.walk_ms,
         r.trace_ms,
-        r.drop_speedup(),
-        r.dropped_global,
+        r.scaling(),
         j.len()
     );
 }
@@ -290,7 +269,7 @@ fn bench(c: &mut Criterion) {
     let results: Vec<ExecResult> = ladder[..2]
         .iter()
         .map(|rung| {
-            let prepared = ExecRung::prepare(rung, workers, PATTERNS, DROP_PATTERNS);
+            let prepared = ExecRung::prepare(rung, workers, PATTERNS, SCALING_PATTERNS);
             run_exec(&prepared, workers, MEASURE_RUNS)
         })
         .collect();
@@ -310,13 +289,11 @@ fn bench(c: &mut Criterion) {
             r.trace_ms
         );
         blog!(
-            "    global drop ({} patterns, verdict mode): unit {:>7.1} ms   \
-             global {:>7.1} ms ({:.2}x, {} walks dropped)",
-            DROP_PATTERNS,
-            r.t_unit * 1e3,
-            r.t_global * 1e3,
-            r.drop_speedup(),
-            r.dropped_global
+            "    worker scaling ({SCALING_PATTERNS} patterns): 1 worker {:>7.1} ms   \
+             {workers} workers {:>7.1} ms ({:.2}x)",
+            r.t_one * 1e3,
+            r.t_all * 1e3,
+            r.scaling()
         );
         assert!(
             r.t_warm <= r.t_cold,
@@ -325,21 +302,6 @@ fn bench(c: &mut Criterion) {
             r.t_warm * 1e3,
             r.t_cold * 1e3
         );
-        if host_cpus() >= 4 {
-            assert!(
-                r.drop_speedup() >= 2.0,
-                "acceptance criterion: DropScope::Global must be >= 2x on the \
-                 {}-pattern verdict-mode run on a >= 4-CPU host (got {:.2}x on {} CPUs)",
-                DROP_PATTERNS,
-                r.drop_speedup(),
-                host_cpus()
-            );
-        } else {
-            blog!(
-                "    (skipping global-drop >= 2x assertion: host has {} CPU(s))",
-                host_cpus()
-            );
-        }
     }
 
     // Perf-regression guard: this host's warm 200k campaign vs the
@@ -359,18 +321,17 @@ fn bench(c: &mut Criterion) {
             "{{\n      \"seconds\": {{\n        \"campaign_cold\": {:.6},\n        \
              \"campaign_warm\": {:.6}\n      }},\n      \"exec_ms\": {{\n        \
              \"golden\": {},\n        \"walk\": {},\n        \"trace\": {}\n      }},\n      \
-             \"global_drop\": {{\n        \"patterns\": {DROP_PATTERNS},\n        \
-             \"campaign_unit\": {:.6},\n        \"campaign_global\": {:.6},\n        \
-             \"global_speedup\": {:.2},\n        \"dropped_global\": {}\n      }}\n    }}",
+             \"scaling\": {{\n        \"patterns\": {SCALING_PATTERNS},\n        \
+             \"campaign_1_worker\": {:.6},\n        \"campaign_all_workers\": {:.6},\n        \
+             \"speedup\": {:.2}\n      }}\n    }}",
             r.t_cold,
             r.t_warm,
             r.golden_ms,
             r.walk_ms,
             r.trace_ms,
-            r.t_unit,
-            r.t_global,
-            r.drop_speedup(),
-            r.dropped_global,
+            r.t_one,
+            r.t_all,
+            r.scaling(),
         )
     };
     let rungs: Vec<String> = results

@@ -67,7 +67,6 @@
 
 pub mod artifact;
 pub mod driver;
-pub mod drop;
 pub mod durable;
 pub mod fleet;
 pub mod manifest;
@@ -78,7 +77,6 @@ pub mod store;
 
 pub use artifact::ArtifactStore;
 pub use driver::{Campaign, Schedule, ShardedRun};
-pub use drop::{DetectedSet, DropScope};
 pub use durable::DurableRun;
 pub use fleet::{FleetEntry, FleetHandle};
 pub use manifest::{CampaignManifest, UnitSpec};

@@ -28,6 +28,7 @@ use rescue_telemetry::metrics;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -512,18 +513,24 @@ impl FsStore {
 }
 
 /// Writes `bytes` to `path` via a sibling temp file + atomic rename, so
-/// readers (and crashed writers) never observe a torn file.
+/// readers (and crashed writers) never observe a torn file. The temp name
+/// carries the pid and a per-call counter, so concurrent writers of the
+/// same path — in other processes or on other threads of this one —
+/// never share a temp file.
 ///
 /// # Panics
 ///
 /// Panics when the temp file cannot be written or renamed.
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let stem = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "file".to_string());
-    let tmp = dir.join(format!(".{stem}.tmp-{}", std::process::id()));
+    // Relaxed: the counter only has to hand out distinct values.
+    let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{stem}.tmp-{}-{n}", std::process::id()));
     std::fs::write(&tmp, bytes).unwrap_or_else(|e| panic!("write {tmp:?}: {e}"));
     std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp:?} -> {path:?}: {e}"));
 }
@@ -738,6 +745,46 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         FsStore::open(dir)
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_do_not_collide() {
+        // Two threads of one process publish the same path at the same
+        // moment, many times over: each write must land whole, with no
+        // temp-file collision panicking the rename.
+        let store = temp_store("atomic-race");
+        let path = store.root.join("race.bin");
+        std::fs::create_dir_all(&store.root).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let failures = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for byte in [0xAAu8, 0x55] {
+                let (path, barrier, failures) = (&path, &barrier, &failures);
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        barrier.wait();
+                        // A failed write must not leave the peer waiting
+                        // at the barrier, so count it instead of unwinding.
+                        let write = || write_file_atomic(path, &[byte; 4096]);
+                        if std::panic::catch_unwind(write).is_err() {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(failures.into_inner(), 0, "a concurrent write collided");
+        let body = std::fs::read(&path).unwrap();
+        assert!(body == [0xAA; 4096] || body == [0x55; 4096], "torn file");
+        let leftovers = std::fs::read_dir(&store.root)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().contains(".tmp-")
+            })
+            .count();
+        assert_eq!(leftovers, 0, "every temp file was renamed away");
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     fn sample_record(seed: u8) -> UnitRecord {

@@ -13,14 +13,15 @@ use crate::engine::{CampaignPlan, FaultScratch, WideScratch};
 use crate::model::{BridgingFault, Fault, FaultKind, FaultSite};
 use crate::trace::{TracePlan, TraceScratch};
 use rescue_campaign::{
-    ArtifactStore, Campaign, CampaignManifest, CampaignStats, DetectedSet, DropScope, DurableRun,
-    ResultStore, ShardedRun, StatsDelta,
+    ArtifactStore, Campaign, CampaignManifest, CampaignStats, DurableRun, ResultStore, Schedule,
+    ShardedRun, StatsDelta,
 };
 use rescue_netlist::{GateKind, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::parallel::{live_mask, pack_patterns};
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord, SUPPORTED_LANE_WIDTHS};
 use rescue_telemetry::{metrics, span};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Outcome of a fault-simulation campaign.
@@ -132,18 +133,6 @@ pub struct PackedOptions<'a> {
     /// Deliberately excluded from [`crate::content::hash_options`]: the
     /// cache changes wall-clock, never results or unit partitions.
     pub artifacts: Option<&'a ArtifactStore>,
-    /// How far fault dropping reaches. The default
-    /// ([`DropScope::Unit`]) keeps dropping local to the loop that owns
-    /// each fault range: verdicts — including first-detection indices —
-    /// stay bit-identical across worker counts and schedules.
-    /// [`DropScope::Global`] additionally parallelizes the *pattern*
-    /// dimension ((golden chunk × fault range) tiles through the
-    /// work-stealing queue) and retires faults across workers through a
-    /// shared atomic [`DetectedSet`]: the detected *set* is exactly the
-    /// unit-scope set by construction, but first-detection indices
-    /// become wall-clock-dependent — opt in only for verdict-mode
-    /// campaigns where the set is what matters.
-    pub drop_scope: DropScope,
 }
 
 impl Default for PackedOptions<'_> {
@@ -153,7 +142,6 @@ impl Default for PackedOptions<'_> {
             collapsed: None,
             tracing: false,
             artifacts: None,
-            drop_scope: DropScope::Unit,
         }
     }
 }
@@ -186,14 +174,6 @@ impl<'a> PackedOptions<'a> {
     /// construction.
     pub fn with_artifacts(mut self, artifacts: &'a ArtifactStore) -> Self {
         self.artifacts = Some(artifacts);
-        self
-    }
-
-    /// Drops faults across workers through a shared detected bitmap
-    /// ([`DropScope::Global`]): same detected set, wall-clock-dependent
-    /// first-detection indices.
-    pub fn global_drop(mut self) -> Self {
-        self.drop_scope = DropScope::Global;
         self
     }
 }
@@ -501,28 +481,27 @@ impl FaultSimulator {
         let c = &self.compiled;
         let _campaign = span!("fault.campaign", faults = faults.len());
         let (walk, expand) = self.walk_list(faults, opts);
-        let chunks = self.golden_chunks::<Wd>(patterns);
+        let chunks = self.golden_chunks::<Wd>(patterns, campaign.workers);
         let mut faults_traced = 0usize;
-        let (results, figures) = if opts.tracing {
+        let run = if opts.tracing {
             let engine = TraceEngine::build(c, &walk, campaign.workers, opts);
             faults_traced = engine.tplan.statically_traced();
-            execute_packed(campaign, &walk, &engine, &chunks, opts.drop_scope, true)
+            execute_packed(campaign, &walk, &engine, &chunks, true)
         } else {
             let engine = WalkEngine::build(c, &walk, campaign.workers, opts);
-            execute_packed(campaign, &walk, &engine, &chunks, opts.drop_scope, false)
+            execute_packed(campaign, &walk, &engine, &chunks, false)
         };
         let stats = CampaignStats {
             injections: faults.len(),
-            elapsed_ns: figures.elapsed_ns,
-            workers: figures.worker_ns.len(),
-            worker_ns: figures.worker_ns,
-            chunks_stolen: figures.steals,
-            dropped_global: figures.dropped_global as usize,
+            elapsed_ns: run.elapsed_ns,
+            workers: run.worker_ns.len(),
+            worker_ns: run.worker_ns,
+            chunks_stolen: run.steals,
             faults_walked: walk.len(),
             faults_traced,
             ..CampaignStats::default()
         };
-        finish_packed::<Wd>(faults, patterns, opts, &chunks, expand, results, stats)
+        finish_packed::<Wd>(faults, patterns, opts, &chunks, expand, run.results, stats)
     }
 
     /// [`FaultSimulator::campaign_packed`] made durable: the campaign
@@ -636,37 +615,16 @@ impl FaultSimulator {
         let _campaign = span!("fault.campaign_durable", faults = faults.len());
         let (walk, expand) = self.walk_list(faults, opts);
         let manifest = self.manifest_for(faults, patterns, opts, walk.len(), unit_faults);
-        let chunks = self.golden_chunks::<Wd>(patterns);
-        // The durable shared bitmap: publish-only in practice (units
-        // partition walk positions, so no in-process consult can fire),
-        // wired so the durable path shares the global-drop contract and
-        // persisted verdicts stay deterministic.
-        let detected = (opts.drop_scope == DropScope::Global).then(|| DetectedSet::new(walk.len()));
+        let chunks = self.golden_chunks::<Wd>(patterns, campaign.workers);
         let exec_start = Instant::now();
         let mut faults_traced = 0usize;
         let run = if opts.tracing {
             let engine = TraceEngine::build(c, &walk, campaign.workers, opts);
             faults_traced = engine.tplan.statically_traced();
-            run_durable(
-                campaign,
-                &walk,
-                &engine,
-                &chunks,
-                &manifest,
-                store,
-                detected.as_ref(),
-            )
+            run_durable(campaign, &walk, &engine, &chunks, &manifest, store)
         } else {
             let engine = WalkEngine::build(c, &walk, campaign.workers, opts);
-            run_durable(
-                campaign,
-                &walk,
-                &engine,
-                &chunks,
-                &manifest,
-                store,
-                detected.as_ref(),
-            )
+            run_durable(campaign, &walk, &engine, &chunks, &manifest, store)
         };
         if rescue_telemetry::enabled() {
             let name = if opts.tracing {
@@ -683,7 +641,6 @@ impl FaultSimulator {
             workers: run.worker_ns.len(),
             worker_ns: run.worker_ns.clone(),
             chunks_stolen: run.steals,
-            dropped_global: detected.as_ref().map_or(0, |d| d.skipped()) as usize,
             faults_walked: walk.len(),
             faults_traced,
             units_total: run.units_total,
@@ -747,32 +704,74 @@ impl FaultSimulator {
     /// ragged-tail guard: a final chunk of fewer than `Wd::LANES`
     /// patterns must not let dead lanes report detections.
     ///
-    /// The arena is one flat allocation for all chunks (plus one reused
-    /// input-packing buffer), so building it costs two allocations total
-    /// instead of two per chunk — the setup half of the zero-alloc
-    /// steady state. Wall-clock is recorded in the `exec.golden_ms`
-    /// histogram when telemetry is enabled.
-    fn golden_chunks<Wd: SimWord>(&self, patterns: &[Vec<bool>]) -> GoldenChunks<Wd> {
+    /// Chunks are independent, so up to `workers` scoped threads each
+    /// fill one contiguous arena of whole chunks (one allocation plus
+    /// one input-packing buffer per thread — the setup half of the
+    /// zero-alloc steady state). One arena per thread, rather than one
+    /// for the campaign, spreads the zeroing and page faults of first
+    /// touch, which cost as much as the evaluation itself, over the
+    /// threads. One chunk or one worker builds inline. Wall-clock is
+    /// recorded in the `exec.golden_ms` histogram when telemetry is
+    /// enabled.
+    fn golden_chunks<Wd: SimWord>(
+        &self,
+        patterns: &[Vec<bool>],
+        workers: usize,
+    ) -> GoldenChunks<Wd> {
         let start = Instant::now();
         let n_gates = self.compiled.len();
-        let n_chunks = patterns.len().div_ceil(Wd::LANES.max(1));
-        let mut words = vec![Wd::ZERO; n_chunks * n_gates];
-        let mut live = Vec::with_capacity(n_chunks);
-        let mut inputs: Vec<Wd> = Vec::new();
-        for (ci, chunk) in patterns.chunks(Wd::LANES).enumerate() {
-            pack_patterns_wide_into(chunk, &mut inputs);
-            self.compiled
-                .eval_words_fill(&inputs, None, &mut words[ci * n_gates..(ci + 1) * n_gates])
-                .expect("input word count mismatch");
-            live.push(Wd::live_mask(chunk.len()));
-        }
+        let n_chunks = patterns.len().div_ceil(Wd::LANES);
+        let per_part = n_chunks.div_ceil(workers.max(1)).max(1);
+        // Fills `part` (allocated, not yet touched) with the golden
+        // images of `chunks`, one `n_gates` slice each.
+        let build = |chunks: std::ops::Range<usize>, mut part: Vec<Wd>| {
+            part.resize(chunks.len() * n_gates, Wd::ZERO);
+            let mut inputs: Vec<Wd> = Vec::new();
+            for (i, ci) in chunks.enumerate() {
+                let p = ci * Wd::LANES;
+                let chunk = &patterns[p..(p + Wd::LANES).min(patterns.len())];
+                pack_patterns_wide_into(chunk, &mut inputs);
+                self.compiled
+                    .eval_words_fill(&inputs, None, &mut part[i * n_gates..(i + 1) * n_gates])
+                    .expect("input word count mismatch");
+            }
+            part
+        };
+        let parts = if per_part >= n_chunks {
+            vec![build(0..n_chunks, Vec::new())]
+        } else {
+            std::thread::scope(|scope| {
+                let build = &build;
+                let handles: Vec<_> = (0..n_chunks)
+                    .step_by(per_part)
+                    .map(|first| {
+                        let chunks = first..(first + per_part).min(n_chunks);
+                        // Allocated on this thread, first touched on the
+                        // builder: the page faults run in parallel, but
+                        // the memory stays with this thread's allocator
+                        // arena instead of being retained by a
+                        // short-lived builder's.
+                        let part = Vec::with_capacity(chunks.len() * n_gates);
+                        scope.spawn(move || build(chunks, part))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("golden build thread panicked"))
+                    .collect()
+            })
+        };
         if rescue_telemetry::enabled() {
             metrics::histogram("exec.golden_ms", &metrics::pow2_bounds(16))
                 .record(start.elapsed().as_millis() as u64);
         }
         GoldenChunks {
-            words,
-            live,
+            parts,
+            per_part,
+            live: patterns
+                .chunks(Wd::LANES)
+                .map(|chunk| Wd::live_mask(chunk.len()))
+                .collect(),
             n_gates,
         }
     }
@@ -946,12 +945,13 @@ impl FaultSimulator {
 pub const DEFAULT_UNIT_FAULTS: usize = 256;
 
 /// The per-chunk golden data of one campaign: every chunk's golden
-/// values in one flat arena (`n_chunks × n_gates` words) plus the live
-/// mask per chunk. One allocation for the whole campaign instead of one
-/// `Vec` per chunk, and chunk access is a slice borrow — nothing on the
+/// values in a few flat arenas of `per_part` whole chunks each
+/// (`n_gates` words per chunk; one arena per building thread) plus the
+/// live mask per chunk. Chunk access is a slice borrow — nothing on the
 /// steady-state execution path allocates.
 struct GoldenChunks<Wd> {
-    words: Vec<Wd>,
+    parts: Vec<Vec<Wd>>,
+    per_part: usize,
     live: Vec<Wd>,
     n_gates: usize,
 }
@@ -964,8 +964,9 @@ impl<Wd: SimWord> GoldenChunks<Wd> {
 
     /// Chunk `ci`'s golden values and live mask.
     fn chunk(&self, ci: usize) -> (&[Wd], Wd) {
+        let at = ci % self.per_part * self.n_gates;
         (
-            &self.words[ci * self.n_gates..(ci + 1) * self.n_gates],
+            &self.parts[ci / self.per_part][at..at + self.n_gates],
             self.live[ci],
         )
     }
@@ -980,8 +981,8 @@ impl<Wd: SimWord> GoldenChunks<Wd> {
 /// campaign paths: one fault in, one `Wd` detection mask out, with the
 /// drop bookkeeping the engines keep in their scratch. Implemented by
 /// the event-driven cone walker ([`WalkEngine`]) and the critical-path
-/// tracing hybrid ([`TraceEngine`]), so the campaign drain loop
-/// ([`drain_unit`]) is written exactly once.
+/// tracing hybrid ([`TraceEngine`]), so the campaign inner loop
+/// ([`detect_chunk`]) is written exactly once.
 trait PackedDetect<Wd: SimWord>: Sync {
     /// Per-worker mutable state.
     type Scratch;
@@ -990,8 +991,8 @@ trait PackedDetect<Wd: SimWord>: Sync {
     fn observable(&self, gate: usize) -> bool;
     /// Prepares the scratch for golden chunk `chunk` — a no-op when that
     /// chunk is already resident (the engines tag their scratch with the
-    /// loaded chunk), which is what makes re-draining the same chunk
-    /// across consecutive fault ranges nearly free.
+    /// loaded chunk), so the slices a worker claims within one
+    /// chunk-major pass share one load and one warm memo.
     fn load(&self, scratch: &mut Self::Scratch, chunk: u32, golden: &[Wd]);
     /// Detection mask of `fault` under the loaded chunk.
     fn detect(&self, scratch: &mut Self::Scratch, golden: &[Wd], fault: Fault) -> Wd;
@@ -1001,13 +1002,14 @@ trait PackedDetect<Wd: SimWord>: Sync {
     fn flush(&self, scratch: &mut Self::Scratch);
 }
 
-/// Per-worker drain state: the engine scratch plus the pooled
-/// active-fault list, so steady-state unit execution reuses every
-/// buffer across the ranges a worker claims instead of reallocating
-/// per unit.
+/// Per-worker durable drain state: the engine scratch plus the pooled
+/// active-fault and per-chunk verdict lists, so steady-state unit
+/// execution reuses every buffer across the units a worker claims
+/// instead of reallocating per unit.
 struct DrainScratch<S> {
     inner: S,
     active: Vec<u32>,
+    hits: Vec<Option<usize>>,
 }
 
 impl<S> DrainScratch<S> {
@@ -1015,6 +1017,7 @@ impl<S> DrainScratch<S> {
         DrainScratch {
             inner,
             active: Vec::new(),
+            hits: Vec::new(),
         }
     }
 }
@@ -1145,117 +1148,163 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
     }
 }
 
-/// Drains one fault range over every golden chunk with fault dropping —
-/// the single campaign inner loop, shared verbatim by the plain
-/// schedules and the durable store-backed path (which is what keeps
-/// their verdicts bit-identical).
-///
-/// `offset` is the range's global position in the walk list; with a
-/// shared [`DetectedSet`] (`global`) the loop consults the bitmap
-/// before each walk and publishes each detection at `offset + fi`.
-/// Durable units partition walk positions disjointly, so within one
-/// process the consult can never retire a fault this loop would
-/// otherwise have walked — persisted verdicts stay deterministic — but
-/// the publishing keeps the durable path on the same contract as the
-/// tiled global schedule.
+/// Resets `active` to the positions of `faults` whose site can reach a
+/// primary output. Structurally unobservable faults can never be
+/// detected, so they retire before the first chunk instead of asking the
+/// engine on every one; the survivors keep site-consecutive order, which
+/// keeps the one-entry observability cache hot.
+fn observable_positions<Wd: SimWord, E: PackedDetect<Wd>>(
+    engine: &E,
+    faults: &[Fault],
+    active: &mut Vec<u32>,
+) {
+    active.clear();
+    active.extend(
+        (0..faults.len() as u32)
+            .filter(|&fi| engine.observable(faults[fi as usize].site().gate().index())),
+    );
+}
+
+/// Detects the faults at `positions` of `faults` under golden chunk
+/// `ci`, replacing `hits` with one verdict per position: the first
+/// detecting pattern index, or `None`. This is the single campaign inner
+/// loop, shared by the plain chunk-major passes and the durable per-unit
+/// sweep, which is what keeps their verdicts bit-identical.
+fn detect_chunk<Wd: SimWord, E: PackedDetect<Wd>>(
+    engine: &E,
+    scratch: &mut E::Scratch,
+    chunks: &GoldenChunks<Wd>,
+    ci: usize,
+    faults: &[Fault],
+    positions: &[u32],
+    hits: &mut Vec<Option<usize>>,
+) {
+    let (golden, live) = chunks.chunk(ci);
+    engine.load(scratch, ci as u32, golden);
+    let last = ci + 1 == chunks.len();
+    hits.clear();
+    hits.extend(positions.iter().map(|&fi| {
+        let mask = engine.detect(scratch, golden, faults[fi as usize]) & live;
+        let lane = mask.first_lane()?;
+        if !last {
+            // Retired early: later chunks never walk this fault's cone.
+            engine.note_drop(scratch);
+        }
+        Some(ci * Wd::LANES + lane)
+    }));
+}
+
+/// Fault dropping: removes from `active` every position that `hits` (one
+/// verdict per position, in order) detected, recording its first
+/// detection in `first`. Undetected positions stay active, in order.
+fn retire(active: &mut Vec<u32>, hits: &[Option<usize>], first: &mut [Option<usize>]) {
+    let mut hits = hits.iter();
+    active.retain(
+        |&fi| match *hits.next().expect("one verdict per active position") {
+            Some(p) => {
+                first[fi as usize] = Some(p);
+                false
+            }
+            None => true,
+        },
+    );
+}
+
+/// Drains one durable unit over every golden chunk with fault dropping.
+/// A unit is the crash-safety boundary, so it sweeps all chunks itself
+/// rather than joining the chunk-major passes of [`execute_packed`].
 fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
     engine: &E,
     chunks: &GoldenChunks<Wd>,
     scratch: &mut DrainScratch<E::Scratch>,
-    offset: usize,
     range: &[Fault],
-    global: Option<&DetectedSet>,
 ) -> Vec<Option<usize>> {
-    let n_chunks = chunks.len();
     let mut first: Vec<Option<usize>> = vec![None; range.len()];
-    // Structurally unobservable faults can never be detected: retire
-    // them before the first word instead of re-asking the engine on
-    // every chunk. The active list (pooled across the ranges a worker
-    // claims) then shrinks as faults drop, keeping site-consecutive
-    // order so the one-entry observability cache stays hot.
-    let DrainScratch { inner, active } = scratch;
-    active.clear();
-    active.extend(
-        (0..range.len() as u32)
-            .filter(|&fi| engine.observable(range[fi as usize].site().gate().index())),
-    );
-    for ci in 0..n_chunks {
+    let DrainScratch {
+        inner,
+        active,
+        hits,
+    } = scratch;
+    observable_positions(engine, range, active);
+    for ci in 0..chunks.len() {
         if active.is_empty() {
-            break; // every detectable fault in this range dropped
+            break; // every detectable fault in this unit dropped
         }
-        let (golden, live) = chunks.chunk(ci);
-        engine.load(inner, ci as u32, golden);
-        active.retain(|&fi| {
-            if let Some(set) = global {
-                if set.is_detected(offset + fi as usize) {
-                    set.note_skip();
-                    return false;
-                }
-            }
-            let fault = range[fi as usize];
-            let mask = engine.detect(inner, golden, fault) & live;
-            if mask.is_zero() {
-                return true;
-            }
-            first[fi as usize] =
-                Some(ci * Wd::LANES + mask.first_lane().expect("mask is non-zero"));
-            if let Some(set) = global {
-                set.mark(offset + fi as usize);
-            }
-            if ci + 1 < n_chunks {
-                // Retired early: later words never walk this fault's
-                // cone again.
-                engine.note_drop(inner);
-            }
-            false
-        });
+        detect_chunk(engine, inner, chunks, ci, range, active, hits);
+        retire(active, hits, &mut first);
     }
-    // Range granularity: one registry touch per work call, never per
+    // Unit granularity: one registry touch per work call, never per
     // fault.
     engine.flush(inner);
     first
 }
 
-/// Driver-side figures of one executed campaign — the fields
-/// [`CampaignStats`] copies out of the underlying run record,
-/// abstracted so the unit-scope and tiled global-scope schedules can
-/// share one stats tail.
-struct RunFigures {
-    elapsed_ns: u64,
-    worker_ns: Vec<u64>,
-    steals: u64,
-    dropped_global: u64,
-}
-
-/// Executes the walk list with `engine` under the campaign's schedule
-/// and drop scope; returns per-fault first detections plus the run
-/// figures. Wall-clock is recorded in the `exec.walk_ms` /
-/// `exec.trace_ms` histogram (per `tracing`) when telemetry is enabled.
+/// Executes the walk list chunk-major: one pass per golden chunk over
+/// the walk positions still undetected after the earlier chunks, each
+/// pass handed out under the campaign's schedule. Every fault still
+/// meets the chunks in order and drops at its first detection, so the
+/// verdicts equal the 1-worker run's for every worker count and
+/// schedule. Each worker's scratch is built on first use and kept
+/// across passes, so a worker loads each golden chunk at most once and
+/// keeps its observability memo warm for the whole pass.
+///
+/// The returned run carries the first detection per walk position,
+/// worker busy time summed per worker over the passes, and the summed
+/// slice and steal counts. Wall-clock is recorded in the
+/// `exec.walk_ms` / `exec.trace_ms` histogram (per `tracing`) when
+/// telemetry is enabled.
 fn execute_packed<Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
     walk: &[Fault],
     engine: &E,
     chunks: &GoldenChunks<Wd>,
-    scope: DropScope,
     tracing: bool,
-) -> (Vec<Option<usize>>, RunFigures)
+) -> ShardedRun<Option<usize>>
 where
     E::Scratch: Send,
 {
     let start = Instant::now();
-    let out = match scope {
-        DropScope::Unit => {
-            let run = run_plain(campaign, walk, engine, chunks);
-            let figures = RunFigures {
-                elapsed_ns: run.elapsed_ns,
-                worker_ns: run.worker_ns,
-                steals: run.steals,
-                dropped_global: 0,
-            };
-            (run.results, figures)
-        }
-        DropScope::Global => run_global(campaign, walk, engine, chunks),
+    let pool: Vec<Mutex<Option<E::Scratch>>> =
+        (0..campaign.workers).map(|_| Mutex::new(None)).collect();
+    let mut out = ShardedRun {
+        results: vec![None; walk.len()],
+        worker_ns: Vec::new(),
+        elapsed_ns: 0,
+        chunks: 0,
+        steals: 0,
     };
+    let mut active = Vec::new();
+    observable_positions(engine, walk, &mut active);
+    for ci in 0..chunks.len() {
+        if active.is_empty() {
+            break; // every detectable fault dropped
+        }
+        let scratch = |w: usize| pool[w].lock().expect("a campaign worker panicked");
+        let work = |slot: &mut std::sync::MutexGuard<Option<E::Scratch>>,
+                    _offset: usize,
+                    slice: &[u32]| {
+            let scratch = slot.get_or_insert_with(|| engine.scratch());
+            let mut hits = Vec::with_capacity(slice.len());
+            detect_chunk(engine, scratch, chunks, ci, walk, slice, &mut hits);
+            // Slice granularity: one registry touch per work call.
+            engine.flush(scratch);
+            hits
+        };
+        let pass = match campaign.schedule {
+            Schedule::Static => campaign.run_ranges(&active, scratch, work),
+            Schedule::Dynamic { .. } => campaign.run_dynamic(&active, scratch, work),
+        };
+        retire(&mut active, &pass.results, &mut out.results);
+        if out.worker_ns.len() < pass.worker_ns.len() {
+            out.worker_ns.resize(pass.worker_ns.len(), 0);
+        }
+        for (total, ns) in out.worker_ns.iter_mut().zip(&pass.worker_ns) {
+            *total += ns;
+        }
+        out.chunks += pass.chunks;
+        out.steals += pass.steals;
+    }
+    out.elapsed_ns = start.elapsed().as_nanos() as u64;
     if rescue_telemetry::enabled() {
         let name = if tracing {
             "exec.trace_ms"
@@ -1268,133 +1317,9 @@ where
     out
 }
 
-/// Runs the walk list through the campaign's schedule (in-process path).
-fn run_plain<Wd: SimWord, E: PackedDetect<Wd>>(
-    campaign: &Campaign,
-    walk: &[Fault],
-    engine: &E,
-    chunks: &GoldenChunks<Wd>,
-) -> ShardedRun<Option<usize>>
-where
-    E::Scratch: Send,
-{
-    let scratch = |_w: usize| DrainScratch::new(engine.scratch());
-    let work = |scratch: &mut DrainScratch<E::Scratch>, offset: usize, range: &[Fault]| {
-        drain_unit(engine, chunks, scratch, offset, range, None)
-    };
-    match campaign.schedule {
-        rescue_campaign::Schedule::Static => campaign.run_ranges(walk, scratch, work),
-        rescue_campaign::Schedule::Dynamic { .. } => campaign.run_dynamic(walk, scratch, work),
-    }
-}
-
-/// Work tile of the cross-worker-dropping schedule: one golden chunk
-/// crossed with one contiguous walk-list subrange.
-#[derive(Clone, Copy)]
-struct Tile {
-    chunk: u32,
-    start: u32,
-    end: u32,
-}
-
-/// Runs the walk list under [`DropScope::Global`]: (golden chunk ×
-/// fault range) tiles go through the work-stealing queue, every worker
-/// consults the shared [`DetectedSet`] before walking a fault and
-/// publishes each detection, so a fault detected by any worker on any
-/// chunk is never walked again anywhere. Tiles are ordered chunk-major:
-/// consecutive tiles a worker claims share their golden chunk (so the
-/// scratch's chunk tag skips nearly every reload), and the chunk-major
-/// merge below keeps first detections pattern-ordered wherever no skip
-/// raced.
-///
-/// The detected set equals the unit-scope set exactly — a skip only
-/// ever suppresses a redundant re-walk of an already-detected fault —
-/// but first-detection indices are wall-clock-dependent (a later chunk
-/// can win the race and suppress the earlier detection entirely),
-/// which is why this schedule is opt-in for verdict-mode campaigns.
-fn run_global<Wd: SimWord, E: PackedDetect<Wd>>(
-    campaign: &Campaign,
-    walk: &[Fault],
-    engine: &E,
-    chunks: &GoldenChunks<Wd>,
-) -> (Vec<Option<usize>>, RunFigures)
-where
-    E::Scratch: Send,
-{
-    let detected = DetectedSet::new(walk.len());
-    let grain = campaign.chunk_size(walk.len().max(1));
-    let ranges: Vec<(u32, u32)> = (0..walk.len())
-        .step_by(grain)
-        .map(|s| (s as u32, s.saturating_add(grain).min(walk.len()) as u32))
-        .collect();
-    let mut tiles = Vec::with_capacity(chunks.len() * ranges.len());
-    for ci in 0..chunks.len() as u32 {
-        for &(start, end) in &ranges {
-            tiles.push(Tile {
-                chunk: ci,
-                start,
-                end,
-            });
-        }
-    }
-    let run = campaign.run_dynamic(
-        &tiles,
-        |_w| engine.scratch(),
-        |scratch: &mut E::Scratch, _offset: usize, claimed: &[Tile]| {
-            let out: Vec<Vec<(u32, usize)>> = claimed
-                .iter()
-                .map(|t| {
-                    let (golden, live) = chunks.chunk(t.chunk as usize);
-                    engine.load(scratch, t.chunk, golden);
-                    let mut hits: Vec<(u32, usize)> = Vec::new();
-                    for fi in t.start..t.end {
-                        let fault = walk[fi as usize];
-                        if !engine.observable(fault.site().gate().index()) {
-                            continue;
-                        }
-                        if detected.is_detected(fi as usize) {
-                            detected.note_skip();
-                            continue;
-                        }
-                        let mask = engine.detect(scratch, golden, fault) & live;
-                        if let Some(lane) = mask.first_lane() {
-                            detected.mark(fi as usize);
-                            hits.push((fi, t.chunk as usize * Wd::LANES + lane));
-                        }
-                    }
-                    hits
-                })
-                .collect();
-            engine.flush(scratch);
-            out
-        },
-    );
-    // Chunk-major merge: results arrive in tile (= chunk-major) order,
-    // so the first recorded hit per fault is the lowest-chunk one.
-    let mut first: Vec<Option<usize>> = vec![None; walk.len()];
-    for hits in &run.results {
-        for &(fi, p) in hits {
-            if first[fi as usize].is_none() {
-                first[fi as usize] = Some(p);
-            }
-        }
-    }
-    let figures = RunFigures {
-        elapsed_ns: run.elapsed_ns,
-        worker_ns: run.worker_ns,
-        steals: run.steals,
-        dropped_global: detected.skipped(),
-    };
-    (first, figures)
-}
-
-/// Runs the walk list through [`Campaign::run_store`]: same drain loop
-/// as [`run_plain`], but partitioned into the manifest's units with
-/// verdicts persisted (and answered) through the result store. With
-/// [`DropScope::Global`], detections are additionally published to (and
-/// consulted from) the shared bitmap — vacuous within one process (units
-/// partition walk positions disjointly), so persisted verdicts stay
-/// deterministic for every store state.
+/// Runs the walk list through [`Campaign::run_store`]: the manifest's
+/// units drain through [`drain_unit`], with verdicts persisted (and
+/// answered) through the result store.
 fn run_durable<Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
     walk: &[Fault],
@@ -1402,7 +1327,6 @@ fn run_durable<Wd: SimWord, E: PackedDetect<Wd>>(
     chunks: &GoldenChunks<Wd>,
     manifest: &CampaignManifest,
     store: &dyn ResultStore,
-    global: Option<&DetectedSet>,
 ) -> DurableRun<Option<usize>>
 where
     E::Scratch: Send,
@@ -1413,8 +1337,8 @@ where
         manifest,
         store,
         |_w| DrainScratch::new(engine.scratch()),
-        |scratch: &mut DrainScratch<E::Scratch>, offset: usize, range: &[Fault]| {
-            drain_unit(engine, chunks, scratch, offset, range, global)
+        |scratch: &mut DrainScratch<E::Scratch>, _offset: usize, range: &[Fault]| {
+            drain_unit(engine, chunks, scratch, range)
         },
         encode_verdicts,
         decode_verdicts,
@@ -1506,10 +1430,6 @@ fn finish_packed<Wd: SimWord>(
         if opts.tracing {
             rescue_telemetry::metrics::gauge("fault.traced_fraction_pct")
                 .set((stats.traced_fraction() * 100.0).round() as i64);
-        }
-        if stats.dropped_global > 0 {
-            rescue_telemetry::metrics::counter("fault.dropped_global")
-                .add(stats.dropped_global as u64);
         }
     }
     for live in chunks.live_masks() {

@@ -6,13 +6,15 @@
 //!   width (`W ∈ {1, 2, 4, 8}`), including ragged final chunks and the
 //!   pin-forced single-gate kernels the cone walks and CPT chain ascent
 //!   dispatch through;
-//! * **`DropScope::Global`** (cross-worker fault dropping over the
-//!   shared detected bitmap) reports exactly the masks-mode detected
-//!   *set* for every schedule, worker count and engine family — only
-//!   first-detection indices may differ, never membership.
+//! * **chunk-major execution** (one work-stealing pass per golden chunk
+//!   over the faults still undetected) reports exactly the 1-worker
+//!   first detections — and the scalar oracle's — for every schedule,
+//!   worker count, chunk count and engine family.
 
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
+use rescue_faults::collapse::collapse;
+use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
 use rescue_netlist::{generate, renumber, Netlist};
@@ -75,11 +77,6 @@ fn assert_sweep_matches<Wd: SimWord>(c: &mut CompiledNetlist, patterns: &[Vec<bo
     c.set_sweep(true);
 }
 
-/// Detected-set fingerprint of a campaign run: one bool per fault.
-fn detected_set(first: &[Option<usize>]) -> Vec<bool> {
-    first.iter().map(|d| d.is_some()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -99,60 +96,56 @@ proptest! {
         assert_sweep_matches::<PackedWord<8>>(&mut c, &pats(512));
     }
 
-    /// (b) `DropScope::Global` detected set ≡ masks-mode detected set
-    /// across schedules, worker counts and both engine families.
+    /// (b) Chunk-major execution (one work-stealing pass per golden
+    /// chunk over the still-undetected faults) reproduces the 1-worker
+    /// report and the scalar oracle's first detections for 1–4 workers,
+    /// both schedules, one chunk, two chunks and a ragged tail, fewer
+    /// faults than workers, lane widths 1 and 4, and tracing and
+    /// collapse on and off.
     #[test]
-    fn global_drop_set_matches_masks_mode(seed in 1u64..300, tracing in any::<bool>()) {
+    fn chunk_major_matches_serial_and_oracle(
+        seed in 1u64..300,
+        chunking in 0usize..3,
+        wide: bool,
+        tracing: bool,
+        collapsing: bool,
+        few: bool,
+    ) {
         let net: Netlist = generate::random_logic(6, 90, 3, seed);
-        let faults = universe::stuck_at_universe(&net);
-        let patterns = random_patterns(6, 130, seed); // 3 chunks, ragged tail
+        let universe = universe::stuck_at_universe(&net);
+        // Three faults leave the four-worker runs with idle workers.
+        let faults = if few { &universe[..3] } else { &universe[..] };
+        let lane_width = if wide { 4 } else { 1 };
+        let lanes = 64 * lane_width;
+        let n_patterns = [lanes, 2 * lanes, 2 * lanes + 5][chunking];
+        let patterns = random_patterns(6, n_patterns, seed);
         let sim = FaultSimulator::new(&net);
-        let base_opts = if tracing {
-            PackedOptions::default().traced()
-        } else {
-            PackedOptions::default()
-        };
-        // Masks mode (bit-identical reference): serial unit-scope run.
-        let masks = sim.campaign_packed(&faults, &patterns, &Campaign::serial(), base_opts);
-        let want = detected_set(masks.report.first_detection());
-        for workers in [1usize, 2, 4] {
-            for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 3 }] {
+        let collapsed = collapse(&net, faults);
+        let mut opts = PackedOptions::wide(lane_width);
+        if tracing {
+            opts = opts.traced();
+        }
+        if collapsing {
+            opts = opts.with_collapsed(&collapsed);
+        }
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, faults, &patterns);
+        let serial = sim.campaign_packed(faults, &patterns, &Campaign::serial(), opts);
+        prop_assert_eq!(serial.report.first_detection(), oracle.first_detection());
+        for workers in 1usize..=4 {
+            for schedule in [
+                Schedule::Static,
+                Schedule::Dynamic { chunk: 0 },
+                Schedule::Dynamic { chunk: 3 },
+            ] {
                 let campaign = Campaign::new(7, workers).with_schedule(schedule);
-                let global =
-                    sim.campaign_packed(&faults, &patterns, &campaign, base_opts.global_drop());
-                let got = detected_set(global.report.first_detection());
+                let run = sim.campaign_packed(faults, &patterns, &campaign, opts);
                 prop_assert_eq!(
-                    &got, &want,
-                    "workers={} schedule={:?} tracing={}", workers, schedule, tracing
+                    &run.report, &serial.report,
+                    "workers={} schedule={:?}", workers, schedule
                 );
-                prop_assert_eq!(
-                    global.report.detected_count(),
-                    masks.report.detected_count()
-                );
+                prop_assert_eq!(run.stats.dropped, serial.stats.dropped);
+                prop_assert!(run.stats.worker_ns.len() <= workers);
             }
         }
-    }
-
-    /// Global scope never invents or loses detections even at width 4
-    /// with collapsing on — the expansion map composes with the shared
-    /// bitmap exactly as with unit scope.
-    #[test]
-    fn global_drop_composes_with_collapse_and_width(seed in 1u64..150) {
-        let net: Netlist = generate::random_logic(6, 70, 3, seed);
-        let faults = universe::stuck_at_universe(&net);
-        let patterns = random_patterns(6, 300, seed); // ragged at W=4
-        let sim = FaultSimulator::new(&net);
-        let collapsed = rescue_faults::collapse::collapse(&net, &faults);
-        let base = PackedOptions::wide(4).with_collapsed(&collapsed);
-        let masks = sim.campaign_packed(&faults, &patterns, &Campaign::serial(), base);
-        let global = sim.campaign_packed(
-            &faults,
-            &patterns,
-            &Campaign::new(3, 4),
-            base.global_drop(),
-        );
-        let want = detected_set(masks.report.first_detection());
-        let got = detected_set(global.report.first_detection());
-        prop_assert_eq!(got, want);
     }
 }

@@ -47,6 +47,9 @@ use rescue_netlist::{generate, renumber};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord};
 
+/// Faults per claimed slice of one chunk-major pass.
+const SLICE: usize = 37;
+
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
     (0..count)
@@ -65,7 +68,10 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
 
 /// Runs the steady-state loop once: fill every golden chunk in the flat
 /// arena, then walk every fault against every chunk through both
-/// engines. Everything it writes lands in pre-sized buffers.
+/// engines, chunk-major and in claimed-size slices the way a campaign
+/// pass hands them out — every slice re-requests its chunk, so all but
+/// the first take the `load_chunk` tag skip. Everything it writes lands
+/// in pre-sized buffers.
 #[allow(clippy::too_many_arguments)]
 fn steady_pass<Wd: SimWord>(
     c: &CompiledNetlist,
@@ -83,14 +89,16 @@ fn steady_pass<Wd: SimWord>(
         let arena = &mut golden[ci * n..(ci + 1) * n];
         c.eval_words_fill(words, None, arena).unwrap();
         let arena = &golden[ci * n..(ci + 1) * n];
-        scratch.load_chunk(ci as u32, arena);
-        tscratch.load_chunk(ci as u32, arena);
-        for &fault in faults {
-            let m = plan.detect_packed(c, arena, scratch, fault).unwrap();
-            let t = tplan.detect_traced(c, arena, tscratch, fault).unwrap();
-            assert_eq!(m, t, "{fault}: traced engine diverged");
-            if m != Wd::ZERO {
-                detected += 1;
+        for slice in faults.chunks(SLICE) {
+            scratch.load_chunk(ci as u32, arena);
+            tscratch.load_chunk(ci as u32, arena);
+            for &fault in slice {
+                let m = plan.detect_packed(c, arena, scratch, fault).unwrap();
+                let t = tplan.detect_traced(c, arena, tscratch, fault).unwrap();
+                assert_eq!(m, t, "{fault}: traced engine diverged");
+                if m != Wd::ZERO {
+                    detected += 1;
+                }
             }
         }
     }
