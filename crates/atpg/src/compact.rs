@@ -7,7 +7,6 @@
 //! reduction work (paper Section III.E, \[30\], \[44\]).
 
 use crate::podem::TestCube;
-use rescue_faults::engine::{CampaignPlan, FaultScratch};
 use rescue_faults::simulate::FaultSimulator;
 use rescue_faults::Fault;
 use rescue_netlist::Netlist;
@@ -45,43 +44,19 @@ pub fn static_compaction(cubes: &[TestCube]) -> Vec<TestCube> {
 /// backwards and keeps only patterns that detect at least one
 /// still-undetected fault.
 ///
+/// One dropping campaign over the reversed list decides it: a pattern
+/// is kept exactly when it is some fault's first detection there.
 /// Returns the kept patterns in their original relative order.
 pub fn reverse_order_compaction(
     netlist: &Netlist,
     faults: &[Fault],
     patterns: &[Vec<bool>],
 ) -> Vec<Vec<bool>> {
-    let sim = FaultSimulator::new(netlist);
-    // Plan/scratch built once for the whole walk; each pattern is a
-    // 1-live-lane word through the packed observability path.
-    let c = sim.compiled();
-    let plan = CampaignPlan::build(c, faults);
-    let mut scratch = FaultScratch::new(c.len());
-    let mut detected = vec![false; faults.len()];
+    let reversed: Vec<Vec<bool>> = patterns.iter().rev().cloned().collect();
+    let report = FaultSimulator::new(netlist).campaign(faults, &reversed);
     let mut keep = vec![false; patterns.len()];
-    // Shared ragged-tail guard: only lane 0 carries a pattern, the other
-    // 63 are dead and must not count as detections.
-    let live = rescue_sim::parallel::live_mask(1);
-    for (pi, pattern) in patterns.iter().enumerate().rev() {
-        let words = rescue_sim::parallel::pack_patterns(std::slice::from_ref(pattern));
-        let golden = sim.golden(&words);
-        scratch.load_golden(&golden);
-        let mut useful = false;
-        for (fi, &fault) in faults.iter().enumerate() {
-            if detected[fi] {
-                continue;
-            }
-            if plan
-                .detect_packed(c, &golden, &mut scratch, fault)
-                .expect("fault root missing from campaign plan")
-                & live
-                != 0
-            {
-                detected[fi] = true;
-                useful = true;
-            }
-        }
-        keep[pi] = useful;
+    for &r in report.first_detection().iter().flatten() {
+        keep[patterns.len() - 1 - r] = true;
     }
     patterns
         .iter()
@@ -120,7 +95,7 @@ mod tests {
         // Coverage preserved after filling.
         let patterns: Vec<Vec<bool>> = merged.iter().map(|m| m.fill_with(false)).collect();
         let sim = FaultSimulator::new(&c);
-        assert_eq!(sim.campaign(&c, &faults, &patterns).coverage(), 1.0);
+        assert_eq!(sim.campaign(&faults, &patterns).coverage(), 1.0);
     }
 
     #[test]
@@ -142,9 +117,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        let before = sim.campaign(&net, &faults, &patterns).coverage();
+        let before = sim.campaign(&faults, &patterns).coverage();
         let compacted = reverse_order_compaction(&net, &faults, &patterns);
-        let after = sim.campaign(&net, &faults, &compacted).coverage();
+        let after = sim.campaign(&faults, &compacted).coverage();
         assert_eq!(before, after, "compaction must not lose coverage");
         assert!(compacted.len() < patterns.len() / 2, "{}", compacted.len());
     }

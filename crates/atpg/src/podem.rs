@@ -552,15 +552,15 @@ fn test_found(netlist: &Netlist, good: &[Logic], faulty: &[Logic]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescue_faults::simulate::FaultSimulator;
+    use rescue_faults::reference::ReferenceFaultSimulator;
     use rescue_faults::universe;
     use rescue_netlist::{generate, NetlistBuilder};
 
     fn verify_test(net: &Netlist, fault: Fault, cube: &TestCube) {
         let pattern = cube.fill_with(false);
-        let sim = FaultSimulator::new(net);
+        let sim = ReferenceFaultSimulator::new(net);
         let words = rescue_sim::parallel::pack_patterns(std::slice::from_ref(&pattern));
-        let golden = sim.golden(&words);
+        let golden = sim.golden(net, &words);
         let mask = sim.detection_mask(net, &words, &golden, fault);
         assert_eq!(mask & 1, 1, "cube does not detect {fault}");
     }

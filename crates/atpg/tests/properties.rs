@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use rescue_atpg::podem::{Podem, PodemOutcome};
 use rescue_atpg::scoap::{Cop, Scoap};
-use rescue_faults::{simulate::FaultSimulator, universe};
+use rescue_faults::reference::ReferenceFaultSimulator;
+use rescue_faults::universe;
 use rescue_netlist::generate;
 use rescue_sim::parallel::pack_patterns;
 
@@ -17,7 +18,7 @@ proptest! {
     fn podem_sound_and_complete(seed in 1u64..120) {
         let net = generate::random_logic(6, 30, 3, seed);
         let podem = Podem::new(&net);
-        let sim = FaultSimulator::new(&net);
+        let oracle = ReferenceFaultSimulator::new(&net);
         let exhaustive: Vec<Vec<bool>> = (0..64u32)
             .map(|p| (0..6).map(|i| p >> i & 1 == 1).collect())
             .collect();
@@ -26,14 +27,14 @@ proptest! {
                 PodemOutcome::Test(cube) => {
                     let pattern = cube.fill_with(false);
                     let words = pack_patterns(std::slice::from_ref(&pattern));
-                    let golden = sim.golden(&words);
+                    let golden = oracle.golden(&net, &words);
                     prop_assert_eq!(
-                        sim.detection_mask(&net, &words, &golden, f) & 1, 1,
+                        oracle.detection_mask(&net, &words, &golden, f) & 1, 1,
                         "cube misses fault {}", f
                     );
                 }
                 PodemOutcome::Untestable => {
-                    let report = sim.campaign(&net, &[f], &exhaustive);
+                    let report = oracle.campaign(&net, &[f], &exhaustive);
                     prop_assert_eq!(
                         report.detected_count(), 0,
                         "PODEM called {} untestable but a pattern detects it", f

@@ -9,9 +9,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rescue_bench::{banner, blog};
 use rescue_core::atpg::random::{random_tpg, weighted_random_tpg};
 use rescue_core::faults::collapse::collapse;
+use rescue_core::faults::engine::{CampaignPlan, FaultScratch};
 use rescue_core::faults::{simulate::FaultSimulator, universe, Fault};
-use rescue_core::netlist::{generate, Netlist};
-use rescue_core::sim::parallel::pack_patterns;
+use rescue_core::netlist::generate;
+use rescue_core::sim::parallel::{live_mask, pack_patterns};
 
 fn patterns(n_in: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut s = seed.max(1);
@@ -31,14 +32,17 @@ fn patterns(n_in: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
 
 /// A campaign without fault dropping: every fault simulated against
 /// every chunk (the naive baseline the real campaign improves on).
-fn campaign_no_dropping(net: &Netlist, faults: &[Fault], pats: &[Vec<bool>]) -> usize {
-    let sim = FaultSimulator::new(net);
+fn campaign_no_dropping(sim: &FaultSimulator, faults: &[Fault], pats: &[Vec<bool>]) -> usize {
+    let c = sim.compiled();
+    let plan = CampaignPlan::build(c, faults);
+    let mut scratch = FaultScratch::new(c.len());
     let mut detections = 0usize;
     for chunk in pats.chunks(64) {
-        let words = pack_patterns(chunk);
-        let golden = sim.golden(&words);
+        let golden = sim.golden(&pack_patterns(chunk));
+        scratch.load_golden(&golden);
+        let live = live_mask(chunk.len());
         for &f in faults {
-            if sim.detection_mask(net, &words, &golden, f) != 0 {
+            if plan.detect_packed(c, &golden, &mut scratch, f).unwrap() & live != 0 {
                 detections += 1;
             }
         }
@@ -47,14 +51,16 @@ fn campaign_no_dropping(net: &Netlist, faults: &[Fault], pats: &[Vec<bool>]) -> 
 }
 
 /// A "serial" campaign: one pattern per word (wasting 63 of 64 lanes).
-fn campaign_serial(net: &Netlist, faults: &[Fault], pats: &[Vec<bool>]) -> usize {
-    let sim = FaultSimulator::new(net);
+fn campaign_serial(sim: &FaultSimulator, faults: &[Fault], pats: &[Vec<bool>]) -> usize {
+    let c = sim.compiled();
+    let plan = CampaignPlan::build(c, faults);
+    let mut scratch = FaultScratch::new(c.len());
     let mut detected = vec![false; faults.len()];
     for pat in pats {
-        let words = pack_patterns(std::slice::from_ref(pat));
-        let golden = sim.golden(&words);
+        let golden = sim.golden(&pack_patterns(std::slice::from_ref(pat)));
+        scratch.load_golden(&golden);
         for (fi, &f) in faults.iter().enumerate() {
-            if !detected[fi] && sim.detection_mask(net, &words, &golden, f) & 1 != 0 {
+            if !detected[fi] && plan.detect_packed(c, &golden, &mut scratch, f).unwrap() & 1 != 0 {
                 detected[fi] = true;
             }
         }
@@ -80,8 +86,8 @@ fn bench(c: &mut Criterion) {
         coll.ratio() * 100.0
     );
     let sim = FaultSimulator::new(&net);
-    let full_cov = sim.campaign(&net, &faults, &pats).coverage();
-    let coll_cov = sim.campaign(&net, coll.representatives(), &pats).coverage();
+    let full_cov = sim.campaign(&faults, &pats).coverage();
+    let coll_cov = sim.campaign(coll.representatives(), &pats).coverage();
     blog!(
         "  coverage: full universe {:.2}%, collapsed {:.2}% (same faults, fewer sims)",
         full_cov * 100.0,
@@ -109,22 +115,22 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_fault_sim");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("dropping", "on"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(&faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("dropping", "off"), |b| {
-        b.iter(|| std::hint::black_box(campaign_no_dropping(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(campaign_no_dropping(&sim, &faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("packing", "64-way"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(&faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("packing", "serial"), |b| {
-        b.iter(|| std::hint::black_box(campaign_serial(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(campaign_serial(&sim, &faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("universe", "collapsed"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, coll.representatives(), &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(coll.representatives(), &pats)))
     });
     group.bench_function(BenchmarkId::new("universe", "full"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(&faults, &pats)))
     });
     group.finish();
 }

@@ -1,14 +1,14 @@
-//! E12 — fault-simulation engine shoot-out: incremental fanout-cone
-//! propagation (compiled arena, event-horizon early exit) against the
-//! full-resimulation reference engine it replaced.
+//! E12 — fault-simulation engine shoot-out: the PPSFP packed engine
+//! (incremental fanout-cone walks over the compiled arena, event-horizon
+//! early exit) against the full-resimulation reference engine it
+//! replaced.
 //!
 //! Workload fixed by the acceptance criterion: the complete stuck-at
 //! universe of `random_logic(16, 2000, 4, _)` under 1000 random
 //! patterns. The run first checks the engines produce identical
-//! verdicts, then times reference vs. cone-serial vs. the PPSFP engine
-//! (serial and 4 workers — `campaign_parallel` routes through the
-//! packed path since E15) and writes the measurements to
-//! `BENCH_fault_sim.json` at the repo root.
+//! verdicts, then times reference vs. the PPSFP engine (serial and 4
+//! workers) and writes the measurements to `BENCH_fault_sim.json` at
+//! the repo root.
 //!
 //! The 4-worker speedup guard is gated on [`host_cpus`]: the earlier
 //! "parallel-scaling regression" seen on this bench was 4 workers
@@ -18,8 +18,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, host_cpus};
+use rescue_core::campaign::Campaign;
 use rescue_core::faults::reference::ReferenceFaultSimulator;
-use rescue_core::faults::{simulate::FaultSimulator, universe};
+use rescue_core::faults::simulate::{CampaignRun, FaultSimulator, PackedOptions};
+use rescue_core::faults::{universe, Fault};
 use rescue_core::netlist::generate;
 use rescue_core::sim::parallel::pack_patterns;
 use std::time::Instant;
@@ -59,6 +61,21 @@ fn median_secs<F: FnMut()>(mut f: F, runs: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The packed campaign at `workers` workers.
+fn ppsfp(
+    sim: &FaultSimulator,
+    faults: &[Fault],
+    patterns: &[Vec<bool>],
+    workers: usize,
+) -> CampaignRun {
+    sim.campaign_packed(
+        faults,
+        patterns,
+        &Campaign::new(0, workers),
+        PackedOptions::default(),
+    )
+}
+
 fn bench(c: &mut Criterion) {
     banner(
         "E12",
@@ -72,20 +89,17 @@ fn bench(c: &mut Criterion) {
 
     // Equivalence gate before any timing: the speedup only counts if the
     // verdicts are bit-identical.
-    let a = fast.campaign(&net, &faults, &patterns);
     let b = slow.campaign(&net, &faults, &patterns);
-    assert_eq!(
-        a.first_detection(),
-        b.first_detection(),
-        "engines disagree; refusing to benchmark"
-    );
-    assert_eq!(
-        fast.campaign_parallel(&net, &faults, &patterns, 4)
-            .first_detection(),
-        a.first_detection(),
-        "parallel packed engine disagrees; refusing to benchmark"
-    );
-    let coverage = a.coverage();
+    for workers in [1, 4] {
+        assert_eq!(
+            ppsfp(&fast, &faults, &patterns, workers)
+                .report
+                .first_detection(),
+            b.first_detection(),
+            "packed engine at {workers} workers disagrees; refusing to benchmark"
+        );
+    }
+    let coverage = b.coverage();
 
     let t_old = median_secs(
         || {
@@ -93,27 +107,20 @@ fn bench(c: &mut Criterion) {
         },
         3,
     );
-    let t_new = median_secs(
-        || {
-            std::hint::black_box(fast.campaign(&net, &faults, &patterns));
-        },
-        5,
-    );
     let t_ppsfp = median_secs(
         || {
-            std::hint::black_box(fast.campaign_parallel(&net, &faults, &patterns, 1));
+            std::hint::black_box(ppsfp(&fast, &faults, &patterns, 1));
         },
         5,
     );
     let t_par = median_secs(
         || {
-            std::hint::black_box(fast.campaign_parallel(&net, &faults, &patterns, 4));
+            std::hint::black_box(ppsfp(&fast, &faults, &patterns, 4));
         },
         5,
     );
 
     let work = faults.len() as f64 * patterns.len() as f64;
-    let speedup = t_old / t_new;
     let speedup_ppsfp = t_old / t_ppsfp;
     let speedup_par = t_old / t_par;
     blog!(
@@ -130,12 +137,6 @@ fn bench(c: &mut Criterion) {
         work / t_old / 1e6
     );
     blog!(
-        "  cone engine, serial      {:>9.1} ms   {:>10.1}   {:>7.2}x",
-        t_new * 1e3,
-        work / t_new / 1e6,
-        speedup
-    );
-    blog!(
         "  ppsfp engine, serial     {:>9.1} ms   {:>10.1}   {:>7.2}x",
         t_ppsfp * 1e3,
         work / t_ppsfp / 1e6,
@@ -148,9 +149,9 @@ fn bench(c: &mut Criterion) {
         speedup_par
     );
     assert!(
-        speedup >= 3.0,
-        "acceptance criterion: serial cone engine must be >= 3x over the \
-         reference on this workload (got {speedup:.2}x)"
+        speedup_ppsfp >= 3.0,
+        "acceptance criterion: the serial packed engine must be >= 3x over \
+         the reference on this workload (got {speedup_ppsfp:.2}x)"
     );
     if host_cpus() >= 4 {
         let scaling = t_ppsfp / t_par;
@@ -173,28 +174,22 @@ fn bench(c: &mut Criterion) {
          \"netlist\": \"random_logic({N_INPUTS}, {N_GATES}, {N_OUTPUTS}, {SEED})\",\n    \
          \"gates\": {},\n    \"faults\": {},\n    \"patterns\": {},\n    \
          \"coverage\": {:.4}\n  }},\n  \"seconds\": {{\n    \
-         \"reference_full_resim\": {:.6},\n    \"cone_serial\": {:.6},\n    \
-         \"ppsfp_serial\": {:.6},\n    \
+         \"reference_full_resim\": {:.6},\n    \"ppsfp_serial\": {:.6},\n    \
          \"ppsfp_parallel_4\": {:.6}\n  }},\n  \"speedup_over_reference\": {{\n    \
-         \"cone_serial\": {:.2},\n    \"ppsfp_serial\": {:.2},\n    \
-         \"ppsfp_parallel_4\": {:.2}\n  }},\n  \
+         \"ppsfp_serial\": {:.2},\n    \"ppsfp_parallel_4\": {:.2}\n  }},\n  \
          \"mega_fault_patterns_per_sec\": {{\n    \"reference_full_resim\": {:.1},\n    \
-         \"cone_serial\": {:.1},\n    \"ppsfp_serial\": {:.1},\n    \
-         \"ppsfp_parallel_4\": {:.1}\n  }}\n}}\n",
+         \"ppsfp_serial\": {:.1},\n    \"ppsfp_parallel_4\": {:.1}\n  }}\n}}\n",
         env_json(4, 64),
         net.len(),
         faults.len(),
         patterns.len(),
         coverage,
         t_old,
-        t_new,
         t_ppsfp,
         t_par,
-        speedup,
         speedup_ppsfp,
         speedup_par,
         work / t_old / 1e6,
-        work / t_new / 1e6,
         work / t_ppsfp / 1e6,
         work / t_par / 1e6,
     );
@@ -217,11 +212,8 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    c.bench_function("e12_campaign_cone_serial", |b| {
-        b.iter(|| std::hint::black_box(fast.campaign(&net, &faults, &patterns)))
-    });
     c.bench_function("e12_campaign_ppsfp_par4", |b| {
-        b.iter(|| std::hint::black_box(fast.campaign_parallel(&net, &faults, &patterns, 4)))
+        b.iter(|| std::hint::black_box(ppsfp(&fast, &faults, &patterns, 4)))
     });
 }
 

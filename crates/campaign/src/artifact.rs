@@ -44,7 +44,7 @@ const HEADER_LEN: usize = 4 + 1 + 8 + 8;
 /// let store = ArtifactStore::open(&dir);
 /// let key = ContentHash(0x1234);
 /// assert!(store.load(key).is_none());
-/// store.save(key, b"compiled bytes");
+/// store.save(key, b"compiled bytes").unwrap();
 /// assert_eq!(store.load(key).as_deref(), Some(&b"compiled bytes"[..]));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// ```
@@ -80,18 +80,18 @@ impl ArtifactStore {
 
     /// Persists `payload` under `key` (atomic tmp + rename).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the file cannot be written — cache *writes* failing
-    /// loudly beats silently never caching.
-    pub fn save(&self, key: ContentHash, payload: &[u8]) {
+    /// Returns the I/O error when the file cannot be written; no partial
+    /// file is left behind, so the key simply stays a miss.
+    pub fn save(&self, key: ContentHash, payload: &[u8]) -> std::io::Result<()> {
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
         bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
-        write_file_atomic(&self.path_of(key), &bytes);
+        write_file_atomic(&self.path_of(key), &bytes)
     }
 
     /// Returns the payload stored under `key`, or `None` when the key is
@@ -152,15 +152,15 @@ mod tests {
         let key = ContentHash(42);
         assert!(store.load(key).is_none());
         assert!(!store.contains(key));
-        store.save(key, b"payload");
+        store.save(key, b"payload").unwrap();
         assert!(store.contains(key));
         assert_eq!(store.load(key).as_deref(), Some(&b"payload"[..]));
         // Overwrite with different bytes (same key) is last-write-wins.
-        store.save(key, b"other");
+        store.save(key, b"other").unwrap();
         assert_eq!(store.load(key).as_deref(), Some(&b"other"[..]));
         // Empty payloads are valid artifacts.
         let empty = ContentHash(7);
-        store.save(empty, b"");
+        store.save(empty, b"").unwrap();
         assert_eq!(store.load(empty).as_deref(), Some(&b""[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -170,7 +170,7 @@ mod tests {
         let dir = scratch_dir("corrupt");
         let store = ArtifactStore::open(&dir);
         let key = ContentHash(9);
-        store.save(key, b"good bytes");
+        store.save(key, b"good bytes").unwrap();
         let path = store.dir().join(format!("{key}.art"));
 
         // Flip one payload byte: checksum mismatch.
@@ -186,14 +186,14 @@ mod tests {
         assert!(!path.exists());
 
         // Wrong version.
-        store.save(key, b"good bytes");
+        store.save(key, b"good bytes").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4] = 0xee;
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.load(key).is_none());
 
         // A fresh save repopulates.
-        store.save(key, b"good bytes");
+        store.save(key, b"good bytes").unwrap();
         assert_eq!(store.load(key).as_deref(), Some(&b"good bytes"[..]));
         std::fs::remove_dir_all(&dir).ok();
     }

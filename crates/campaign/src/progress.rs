@@ -48,7 +48,14 @@ impl Progress {
     /// total: a zero-duration or zero-progress snapshot reports 0.0
     /// rate and `None` ETA instead of dividing by zero.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        let done = self.done().min(self.total);
+        self.snapshot_at(self.done())
+    }
+
+    /// The snapshot of the moment `done` items had completed. Observers
+    /// report the count that crossed their boundary through it: a
+    /// re-read of the counter may already include peers' later items.
+    fn snapshot_at(&self, done: usize) -> ProgressSnapshot {
+        let done = done.min(self.total);
         let elapsed_secs = self.start.elapsed().as_secs_f64();
         let items_per_sec = if elapsed_secs > 0.0 {
             done as f64 / elapsed_secs
@@ -141,7 +148,7 @@ impl Campaign {
             let r = work(s, index, item);
             let done = progress.add(1);
             if done.is_multiple_of(every) || done == progress.total() {
-                observe(progress.snapshot());
+                observe(progress.snapshot_at(done));
             }
             r
         })

@@ -518,10 +518,12 @@ impl FsStore {
 /// same path — in other processes or on other threads of this one —
 /// never share a temp file.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the temp file cannot be written or renamed.
-pub fn write_file_atomic(path: &Path, bytes: &[u8]) {
+/// Returns the I/O error when the temp file cannot be written or
+/// renamed; the temp file is removed first, so a failed write leaves
+/// nothing behind.
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let stem = path
@@ -531,8 +533,11 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) {
     // Relaxed: the counter only has to hand out distinct values.
     let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!(".{stem}.tmp-{}-{n}", std::process::id()));
-    std::fs::write(&tmp, bytes).unwrap_or_else(|e| panic!("write {tmp:?}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp:?} -> {path:?}: {e}"));
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 impl ResultStore for FsStore {
@@ -554,7 +559,9 @@ impl ResultStore for FsStore {
 
     fn put(&self, id: ContentHash, record: &UnitRecord) {
         store_metrics().puts.incr();
-        write_file_atomic(&self.unit_path(id), &record.encode());
+        let path = self.unit_path(id);
+        write_file_atomic(&path, &record.encode())
+            .unwrap_or_else(|e| panic!("publish unit record {path:?}: {e}"));
         let claim = self.claim_path(id);
         // Claim-to-publish latency from the claim file's age; the extra
         // stat is only paid while telemetry records anything.
@@ -763,10 +770,9 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..200 {
                         barrier.wait();
-                        // A failed write must not leave the peer waiting
-                        // at the barrier, so count it instead of unwinding.
-                        let write = || write_file_atomic(path, &[byte; 4096]);
-                        if std::panic::catch_unwind(write).is_err() {
+                        // Count a failed write and keep going: leaving
+                        // the loop would strand the peer at the barrier.
+                        if write_file_atomic(path, &[byte; 4096]).is_err() {
                             failures.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -784,6 +790,25 @@ mod tests {
             })
             .count();
         assert_eq!(leftovers, 0, "every temp file was renamed away");
+        let _ = std::fs::remove_dir_all(&store.root);
+    }
+
+    #[test]
+    fn failed_rename_returns_the_error_and_removes_the_temp_file() {
+        let store = temp_store("rename-fail");
+        // A rename cannot replace a non-empty directory.
+        let target = store.root.join("occupied");
+        std::fs::create_dir_all(target.join("inner")).unwrap();
+        assert!(write_file_atomic(&target, b"payload").is_err());
+        assert!(target.join("inner").is_dir(), "the target is untouched");
+        let leftovers = std::fs::read_dir(&store.root)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().contains(".tmp-")
+            })
+            .count();
+        assert_eq!(leftovers, 0, "the temp file of a failed rename is removed");
         let _ = std::fs::remove_dir_all(&store.root);
     }
 
@@ -912,7 +937,7 @@ mod tests {
     fn fs_store_corrupt_record_reads_as_missing_and_is_dropped() {
         let store = temp_store("corrupt");
         let id = ContentHash(0xbad);
-        write_file_atomic(&store.unit_path(id), b"RSCU torn garbage");
+        write_file_atomic(&store.unit_path(id), b"RSCU torn garbage").unwrap();
         assert_eq!(store.get(id), None, "corrupt record is not a result");
         assert!(
             !store.unit_path(id).exists(),

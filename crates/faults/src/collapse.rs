@@ -443,7 +443,7 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0..32u32)
             .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
             .collect();
-        let dom_report = sim.campaign(&net, &dom, &patterns);
+        let dom_report = sim.campaign(&dom, &patterns);
         // Keep only patterns that were first-detectors for dom faults.
         let used: std::collections::BTreeSet<usize> = dom_report
             .first_detection()
@@ -452,9 +452,9 @@ mod tests {
             .copied()
             .collect();
         let subset: Vec<Vec<bool>> = used.iter().map(|&i| patterns[i].clone()).collect();
-        assert_eq!(sim.campaign(&net, &dom, &subset).coverage(), 1.0);
+        assert_eq!(sim.campaign(&dom, &subset).coverage(), 1.0);
         assert_eq!(
-            sim.campaign(&net, &dropped, &subset).coverage(),
+            sim.campaign(&dropped, &subset).coverage(),
             1.0,
             "a test set complete for the collapsed list missed a dropped fault"
         );
@@ -483,17 +483,17 @@ mod tests {
     fn collapse_preserves_detectability() {
         // Every collapsed-away fault must be detected by exactly the same
         // patterns as its representative.
-        use crate::simulate::FaultSimulator;
+        use crate::reference::ReferenceFaultSimulator;
         use rescue_sim::parallel::pack_patterns;
         let c17 = generate::c17();
         let all = universe::stuck_at_universe(&c17);
         let coll = collapse(&c17, &all);
-        let sim = FaultSimulator::new(&c17);
+        let sim = ReferenceFaultSimulator::new(&c17);
         let patterns: Vec<Vec<bool>> = (0..32u32)
             .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
             .collect();
         let words = pack_patterns(&patterns[..32]);
-        let golden = sim.golden(&words);
+        let golden = sim.golden(&c17, &words);
         for &f in &all {
             let rep = coll.representative(f);
             if rep == f {

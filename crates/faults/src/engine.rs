@@ -2,13 +2,14 @@
 //!
 //! The hot path of every stuck-at campaign is "given the chunk's golden
 //! words, which patterns see this fault at an output?". The classic
-//! answer re-simulates the whole netlist per fault; this engine instead:
+//! answer re-simulates the whole netlist per fault (the oracle in
+//! [`crate::reference`]); this engine instead:
 //!
 //! 1. **memoizes the combinational fanout cone** of each fault site in a
 //!    [`CampaignPlan`] (sa0/sa1 at the same site share one cone, stored
 //!    as a flat CSR sorted by topological position, root excluded);
-//! 2. **injects** the fault at its root over a scratch value array that
-//!    equals the chunk's golden words everywhere;
+//! 2. **flips** the site over a scratch value array that equals the
+//!    chunk's golden words everywhere;
 //! 3. **resimulates only the cone**, in levelized order, tracking the
 //!    largest topological position any fault effect can still reach
 //!    (the *event horizon*) and breaking out as soon as the walk passes
@@ -24,11 +25,9 @@
 //!
 //! # PPSFP: one walk per site, event-driven
 //!
-//! [`CampaignPlan::detect`] pays one cone walk per *fault* per 64-pattern
-//! word, and that walk evaluates every cone gate below the horizon even
-//! when almost none of them changed. [`CampaignPlan::detect_packed`] is
-//! the parallel-pattern single-fault propagation (PPSFP, Waicukauski et
-//! al. 1985) production path, built on three exact reductions:
+//! [`CampaignPlan::detect_packed`] is the parallel-pattern single-fault
+//! propagation (PPSFP, Waicukauski et al. 1985) detection path, built on
+//! three exact reductions:
 //!
 //! * **Observability factoring** — bit lanes of word evaluation never
 //!   interact, so one walk with the root *flipped on all 64 lanes*
@@ -49,8 +48,9 @@
 //!   ([`CampaignPlan::obs_cone_of`]): gates that cannot reach an output
 //!   cannot feed one either, so the walk never visits them.
 //!
-//! Equivalence with [`CampaignPlan::detect`] (the scalar oracle) is
-//! enforced by property tests in `tests/ppsfp_equivalence.rs`.
+//! Equivalence with the full-resimulation oracle
+//! ([`crate::reference::ReferenceFaultSimulator`]) is enforced by
+//! property tests in `tests/ppsfp_equivalence.rs`.
 
 use crate::error::FaultError;
 use crate::model::{Fault, FaultSite};
@@ -486,11 +486,10 @@ impl CampaignPlan {
     /// the observable members of the full cone (every vertex on a path
     /// from the root to an observable gate is itself observable), which
     /// is precisely the set [`CampaignPlan::obs_cone_of`] walks. Both
-    /// cone CSRs alias the restriction, so the scalar
-    /// [`CampaignPlan::detect`] stays exact too — unobservable gates
-    /// feed only unobservable gates, and the mask is sampled at primary
-    /// outputs — but [`CampaignPlan::cone_of`] then reports the
-    /// restriction, not the full cone.
+    /// cone CSRs alias the restriction, so [`CampaignPlan::cone_of`]
+    /// then reports the restriction, not the full cone; observers off
+    /// the primary outputs ([`CampaignPlan::detect_observed`]) need a
+    /// plan from [`CampaignPlan::build`].
     ///
     /// Unobservable roots are planned with an empty cone (their faults
     /// answer `0` through the [`CampaignPlan::observable`] prefilter,
@@ -604,83 +603,6 @@ impl CampaignPlan {
         let lo = self.obs_cone_offsets[idx as usize] as usize;
         let hi = self.obs_cone_offsets[idx as usize + 1] as usize;
         Some(&self.obs_cone_gates[lo..hi])
-    }
-
-    /// Detection mask of `fault` over the chunk whose golden values are
-    /// `golden`, by incremental cone resimulation. `scratch.val` must
-    /// equal `golden` on entry and is restored before returning.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-stuck-at kinds and on roots absent from the plan.
-    pub fn detect<Wd: SimWord>(
-        &self,
-        compiled: &CompiledNetlist,
-        golden: &[Wd],
-        scratch: &mut WideScratch<Wd>,
-        fault: Fault,
-    ) -> Wd {
-        let stuck = fault
-            .kind()
-            .stuck_value()
-            .expect("stuck-at campaign requires stuck-at faults");
-        let word = Wd::splat(stuck);
-        let root = fault.site().gate().index();
-
-        // Inject at the root. Pin faults re-evaluate the root gate with
-        // one input substituted; the reference engine never forces pins
-        // of source kinds (Input has no pins to evaluate, Dff outputs 0
-        // regardless), so those stay at their golden value.
-        let fault_value = match fault.site() {
-            FaultSite::Output(_) => word,
-            FaultSite::Pin { pin, .. } => match compiled.kind(root) {
-                GateKind::Input | GateKind::Dff => golden[root],
-                _ => compiled.eval_word_pin_forced(root, &scratch.val, pin, word),
-            },
-        };
-        scratch.counters.faults_evaluated += 1;
-        if fault_value == golden[root] {
-            return Wd::ZERO; // not excited on any pattern of this chunk
-        }
-        scratch.counters.excitations += 1;
-
-        let mut mask = Wd::ZERO;
-        scratch.val[root] = fault_value;
-        scratch.touched.push(root as u32);
-        if compiled.is_po(root) {
-            mask |= fault_value ^ golden[root];
-        }
-        // Event horizon: the largest topo position a fault effect can
-        // still reach. Cone gates beyond it see only golden inputs.
-        let mut horizon = 0u32;
-        for &s in compiled.fanout_of(root) {
-            horizon = horizon.max(compiled.topo_pos(s as usize));
-        }
-        let cone = self
-            .cone_of(root)
-            .expect("fault root missing from campaign plan");
-        for &g in cone {
-            let gi = g as usize;
-            if compiled.topo_pos(gi) > horizon {
-                // Event frontier died: everything further is golden.
-                scratch.counters.horizon_exits += 1;
-                break;
-            }
-            let v = compiled.eval_word(gi, &scratch.val);
-            if v == golden[gi] {
-                continue;
-            }
-            scratch.val[gi] = v;
-            scratch.touched.push(g);
-            if compiled.is_po(gi) {
-                mask |= v ^ golden[gi];
-            }
-            for &s in compiled.fanout_of(gi) {
-                horizon = horizon.max(compiled.topo_pos(s as usize));
-            }
-        }
-        scratch.undo(golden);
-        mask
     }
 
     /// Whether `root`'s combinational fanout cone (or `root` itself)
@@ -832,8 +754,9 @@ impl CampaignPlan {
     }
 
     /// PPSFP detection mask of `fault` over the chunk whose golden
-    /// values are `golden`: bit-identical to [`CampaignPlan::detect`]
-    /// but sharing one observability walk across every fault of the
+    /// values are `golden`: bit-identical to full resimulation
+    /// ([`crate::reference::ReferenceFaultSimulator::detection_mask`]),
+    /// sharing one observability walk across every fault of the
     /// site, skipping unexcited faults and statically unobservable
     /// sites without walking at all.
     ///
@@ -910,8 +833,8 @@ impl ObserverGroups {
 }
 
 impl CampaignPlan {
-    /// Like [`CampaignPlan::detect`], but observes two arbitrary gate
-    /// sets instead of the primary outputs: returns
+    /// Detection of `fault` by incremental cone resimulation, observed at
+    /// two arbitrary gate sets instead of the primary outputs: returns
     /// `(group_a_mask, group_b_mask)` — the patterns on which the fault
     /// effect differs from golden at any gate of the respective group.
     ///
@@ -1000,7 +923,7 @@ impl CampaignPlan {
 /// enabled/disabled telemetry paths stay identical inside the cone walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
-    /// Faults pushed through [`CampaignPlan::detect`] /
+    /// Faults pushed through [`CampaignPlan::detect_packed`] /
     /// [`CampaignPlan::detect_observed`] (including unexcited ones).
     pub faults_evaluated: u64,
     /// Faults whose injected value differed from golden at the root.
@@ -1253,7 +1176,7 @@ mod tests {
             // Both groups together reproduce plain detection.
             assert_eq!(
                 ma | mb,
-                plan.detect(&compiled, &golden, &mut scratch, fault),
+                slow.detection_mask(&net, &words, &golden, fault),
                 "{fault}"
             );
         }
@@ -1270,8 +1193,13 @@ mod tests {
         compiled.eval_words_into(&words, None, &mut golden).unwrap();
         let mut scratch = FaultScratch::new(compiled.len());
         scratch.load_golden(&golden);
+        let obs = ObserverGroups::new(compiled.len(), compiled.po_drivers(), &[]);
         for &fault in &faults {
-            plan.detect(&compiled, &golden, &mut scratch, fault);
+            plan.detect_packed(&compiled, &golden, &mut scratch, fault)
+                .unwrap();
+            assert_eq!(scratch.val, golden, "scratch must be golden after {fault}");
+            assert!(scratch.touched.is_empty());
+            plan.detect_observed(&compiled, &golden, &mut scratch, fault, &obs);
             assert_eq!(scratch.val, golden, "scratch must be golden after {fault}");
             assert!(scratch.touched.is_empty());
         }

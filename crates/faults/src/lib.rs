@@ -37,7 +37,7 @@
 //! let patterns: Vec<Vec<bool>> = (0..32u32)
 //!     .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
 //!     .collect();
-//! let report = sim.campaign(&c, &faults, &patterns);
+//! let report = sim.campaign(&faults, &patterns);
 //! assert!(report.coverage() > 0.9, "c17 is fully testable");
 //! ```
 

@@ -35,7 +35,7 @@
 //!   existing exact event-driven walk
 //!   ([`CampaignPlan::observability_packed`]) — once per stem per chunk,
 //!   **shared by every fault in the FFR below it** — so the hybrid is
-//!   bit-identical to the scalar oracle by construction.
+//!   bit-identical to the full-resimulation oracle by construction.
 //!
 //! The stems a fault list can reach are identified once per plan by
 //! [`TracePlan::build`]'s structural stem-region analysis on the CSR
@@ -45,7 +45,7 @@
 //! [`TraceScratch`] (epoch-tagged, no clearing cost), so all faults a
 //! worker holds share each traced net and each stem walk.
 //!
-//! Equivalence with the scalar oracle is enforced by the property tests
+//! Equivalence with the reference oracle is enforced by the property tests
 //! in `tests/cpt_equivalence.rs`.
 
 use crate::engine::{CampaignPlan, WideScratch};
@@ -388,7 +388,7 @@ impl TracePlan {
 
     /// Hybrid CPT detection mask of `fault` over the chunk whose golden
     /// values are `golden`: bit-identical to
-    /// [`CampaignPlan::detect_packed`] (and hence to the scalar oracle),
+    /// [`CampaignPlan::detect_packed`] (and hence to the reference oracle),
     /// but observability comes from backward tracing wherever the net
     /// sits in a fanout-free region, with the event-driven walk reserved
     /// for reconvergent stems — one per stem per chunk, shared by the

@@ -1,14 +1,15 @@
-//! Equivalence of the incremental cone engine against the
+//! Equivalence of the compiled fault simulator against the
 //! full-resimulation reference oracle.
 //!
 //! The compiled fault simulator ([`FaultSimulator`]) must produce
 //! **bit-identical** verdicts to [`ReferenceFaultSimulator`] — same
 //! `first_detection` vector, same detection masks, same faulty values —
 //! for every campaign kind: output stuck-at, pin stuck-at, bridging,
-//! transition pairs and sequential stuck-at. The parallel campaign must
-//! match the serial one for any worker count.
+//! transition pairs and sequential stuck-at. Worker counts and
+//! schedules are pinned against the oracle in `ppsfp_equivalence.rs`.
 
 use proptest::prelude::*;
+use rescue_faults::engine::{CampaignPlan, FaultScratch};
 use rescue_faults::model::BridgingFault;
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::FaultSimulator;
@@ -44,7 +45,7 @@ proptest! {
         let patterns = random_patterns(7, 150, seed);
         let fast = FaultSimulator::new(&net);
         let slow = ReferenceFaultSimulator::new(&net);
-        let a = fast.campaign(&net, &faults, &patterns);
+        let a = fast.campaign(&faults, &patterns);
         let b = slow.campaign(&net, &faults, &patterns);
         prop_assert_eq!(a.first_detection(), b.first_detection());
         prop_assert_eq!(a.patterns(), b.patterns());
@@ -63,9 +64,13 @@ proptest! {
         let slow = ReferenceFaultSimulator::new(&net);
         let golden = fast.golden(&words);
         prop_assert_eq!(&golden, &slow.golden(&net, &words));
+        let c = fast.compiled();
+        let plan = CampaignPlan::build(c, &faults);
+        let mut scratch = FaultScratch::new(c.len());
+        scratch.load_golden(&golden);
         for &fault in &faults {
             prop_assert_eq!(
-                fast.detection_mask(&net, &words, &golden, fault),
+                plan.detect_packed(c, &golden, &mut scratch, fault).unwrap(),
                 slow.detection_mask(&net, &words, &golden, fault),
                 "{}", fault
             );
@@ -116,17 +121,25 @@ proptest! {
         }
     }
 
-    /// Transition-delay campaigns over pattern pairs agree.
+    /// Transition-delay campaigns over pattern pairs agree: no pairs
+    /// (0 and 1 patterns), one partial word (40 patterns) and 149 pairs
+    /// = two full 64-pair words plus a 21-lane tail.
     #[test]
     fn transition_campaign_matches_reference(seed in 1u64..500) {
         let net = generate::random_logic(6, 70, 3, seed);
         let faults = universe::transition_universe(&net);
-        let patterns = random_patterns(6, 40, seed);
         let fast = FaultSimulator::new(&net);
         let slow = ReferenceFaultSimulator::new(&net);
-        let a = fast.transition_campaign(&net, &faults, &patterns);
-        let b = slow.transition_campaign(&net, &faults, &patterns);
-        prop_assert_eq!(a.first_detection(), b.first_detection());
+        for count in [0, 1, 40, 150] {
+            let patterns = random_patterns(6, count, seed);
+            let a = fast.transition_campaign(&faults, &patterns);
+            let b = slow.transition_campaign(&net, &faults, &patterns);
+            prop_assert_eq!(a.first_detection(), b.first_detection(), "{} patterns", count);
+            prop_assert_eq!(a.patterns(), count);
+            if count < 2 {
+                prop_assert_eq!(a.detected_count(), 0);
+            }
+        }
     }
 
     /// Sequential campaigns agree on state-holding designs (LFSR) and on
@@ -138,36 +151,18 @@ proptest! {
         let stimuli: Vec<Vec<bool>> = (0..12).map(|_| vec![]).collect();
         let fast = FaultSimulator::new(&lfsr);
         let slow = ReferenceFaultSimulator::new(&lfsr);
-        let a = fast.campaign_seq(&lfsr, &faults, &stimuli);
+        let a = fast.campaign_seq(&faults, &stimuli);
         let b = slow.campaign_seq(&lfsr, &faults, &stimuli);
         prop_assert_eq!(a.first_detection(), b.first_detection());
 
         let comb = generate::random_logic(5, 40, 2, seed);
         let cf = universe::stuck_at_universe(&comb);
         let stim = random_patterns(5, 10, seed);
-        let a = FaultSimulator::new(&comb).campaign_seq(&comb, &cf, &stim);
+        let a = FaultSimulator::new(&comb).campaign_seq(&cf, &stim);
         let b = ReferenceFaultSimulator::new(&comb).campaign_seq(&comb, &cf, &stim);
         prop_assert_eq!(a.first_detection(), b.first_detection());
     }
 
-    /// The parallel campaign is verdict-identical to the serial one for
-    /// 1, 2, 4 and 8 workers.
-    #[test]
-    fn parallel_matches_serial_any_thread_count(seed in 1u64..300) {
-        let net = generate::random_logic(8, 110, 4, seed);
-        let faults = universe::stuck_at_universe(&net);
-        let patterns = random_patterns(8, 180, seed);
-        let sim = FaultSimulator::new(&net);
-        let serial = sim.campaign(&net, &faults, &patterns);
-        for threads in [1usize, 2, 4, 8] {
-            let par = sim.campaign_parallel(&net, &faults, &patterns, threads);
-            prop_assert_eq!(
-                par.first_detection(),
-                serial.first_detection(),
-                "threads = {}", threads
-            );
-        }
-    }
 }
 
 /// Shift-register fault visible only through several cycles of state:
@@ -181,7 +176,7 @@ fn shift_register_seq_equivalence() {
         Fault::stuck_at(FaultSite::Output(sin), true),
     ];
     let stim: Vec<Vec<bool>> = (0..10).map(|c| vec![c % 2 == 0]).collect();
-    let a = FaultSimulator::new(&s).campaign_seq(&s, &faults, &stim);
+    let a = FaultSimulator::new(&s).campaign_seq(&faults, &stim);
     let b = ReferenceFaultSimulator::new(&s).campaign_seq(&s, &faults, &stim);
     assert_eq!(a.first_detection(), b.first_detection());
 }
@@ -194,7 +189,7 @@ fn c17_exhaustive_equivalence() {
     let patterns: Vec<Vec<bool>> = (0..32u32)
         .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
         .collect();
-    let a = FaultSimulator::new(&c).campaign(&c, &faults, &patterns);
+    let a = FaultSimulator::new(&c).campaign(&faults, &patterns);
     let b = ReferenceFaultSimulator::new(&c).campaign(&c, &faults, &patterns);
     assert_eq!(a.first_detection(), b.first_detection());
     assert_eq!(a.coverage(), 1.0);

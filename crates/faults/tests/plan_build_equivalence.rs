@@ -175,3 +175,30 @@ fn parallel_paths_engage_above_thresholds() {
         TracePlan::build_with(&c, &subset, 4).to_bytes()
     );
 }
+
+/// A cache whose directory vanished fails every publish; the campaign
+/// keeps the plans it built and reports exactly what an uncached run
+/// reports.
+#[test]
+fn failed_artifact_write_keeps_the_campaign() {
+    let net = generate::random_logic(6, 60, 3, 4);
+    let faults = universe::stuck_at_universe(&net);
+    let patterns = random_patterns(6, 64, 4);
+    let sim = FaultSimulator::new(&net);
+    let (dir, store) = scratch_store("gone", 4);
+    std::fs::remove_dir_all(&dir).unwrap();
+    for opts in [PackedOptions::default(), PackedOptions::default().traced()] {
+        let plain = sim.campaign_packed(&faults, &patterns, &Campaign::serial(), opts);
+        let cached = sim.campaign_packed(
+            &faults,
+            &patterns,
+            &Campaign::serial(),
+            opts.with_artifacts(&store),
+        );
+        assert_eq!(cached.report, plain.report);
+    }
+    assert!(
+        !dir.exists(),
+        "a failed publish must not recreate the cache"
+    );
+}

@@ -1,20 +1,21 @@
 //! Equivalence of the PPSFP packed observability path against the
-//! scalar cone engine, and of the work-stealing scheduler against the
-//! static sharded driver.
+//! full-resimulation oracle, and of the work-stealing scheduler against
+//! the static sharded driver.
 //!
 //! [`CampaignPlan::detect_packed`] factors detection into one
 //! observability walk per (site, 64-pattern word) shared by every fault
 //! at that site; these tests pin down that the factoring is **exact** —
-//! identical detection masks per word, identical `first_detection`
-//! vectors with and without fault dropping, for every worker count,
-//! schedule and chunk grain — and that `Campaign::run_dynamic` is
-//! verdict- and order-identical to `run_sharded` no matter which worker
-//! claims which chunk.
+//! detection masks per word equal [`ReferenceFaultSimulator`]'s, and
+//! `first_detection` vectors match with and without fault dropping, for
+//! every worker count, schedule and chunk grain — and that
+//! `Campaign::run_dynamic` is verdict- and order-identical to
+//! `run_sharded` no matter which worker claims which chunk.
 
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::engine::{CampaignPlan, FaultScratch};
-use rescue_faults::simulate::FaultSimulator;
+use rescue_faults::reference::ReferenceFaultSimulator;
+use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
 use rescue_netlist::generate;
 use rescue_sim::parallel::{live_mask, pack_patterns};
@@ -39,28 +40,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Per-word detection masks from the packed observability path equal
-    /// the scalar `detect` oracle for every fault on every chunk,
-    /// including partial last chunks (73 patterns = 64 + 9).
+    /// the reference oracle's for every fault on every chunk, including
+    /// partial last chunks (73 patterns = 64 + 9).
     #[test]
     fn detect_packed_masks_match_scalar(seed in 1u64..500) {
         let net = generate::random_logic(7, 90, 4, seed);
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(7, 73, seed);
         let sim = FaultSimulator::new(&net);
+        let oracle = ReferenceFaultSimulator::new(&net);
         let c = sim.compiled();
         let plan = CampaignPlan::build(c, &faults);
-        let mut scalar = FaultScratch::new(c.len());
         let mut packed = FaultScratch::new(c.len());
         for chunk in patterns.chunks(64) {
             let words = pack_patterns(chunk);
             let golden = sim.golden(&words);
             let live = live_mask(chunk.len());
-            scalar.load_golden(&golden);
             packed.load_golden(&golden);
             for &fault in &faults {
                 prop_assert_eq!(
                     plan.detect_packed(c, &golden, &mut packed, fault).unwrap() & live,
-                    plan.detect(c, &golden, &mut scalar, fault) & live,
+                    oracle.detection_mask(&net, &words, &golden, fault) & live,
                     "{}", fault
                 );
             }
@@ -68,16 +68,16 @@ proptest! {
     }
 
     /// The full packed campaign — with fault dropping — produces the
-    /// same `first_detection` vector as the scalar dropping campaign,
-    /// for every worker count under both schedules and several explicit
-    /// chunk grains.
+    /// same `first_detection` vector as the reference dropping campaign,
+    /// for 1, 2, 4 and 8 workers under both schedules and several
+    /// explicit chunk grains.
     #[test]
     fn packed_campaign_matches_scalar_any_schedule(seed in 1u64..300) {
         let net = generate::random_logic(8, 110, 4, seed);
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, 180, seed);
         let sim = FaultSimulator::new(&net);
-        let scalar = sim.campaign(&net, &faults, &patterns);
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         for workers in [1usize, 2, 4, 8] {
             for schedule in [
                 Schedule::Static,
@@ -85,14 +85,15 @@ proptest! {
                 Schedule::Dynamic { chunk: 1 },
                 Schedule::Dynamic { chunk: 17 },
             ] {
-                let run = sim.campaign_with_stats(
+                let run = sim.campaign_packed(
                     &faults,
                     &patterns,
                     &Campaign::new(0, workers).with_schedule(schedule),
+                    PackedOptions::default(),
                 );
                 prop_assert_eq!(
                     run.report.first_detection(),
-                    scalar.first_detection(),
+                    oracle.first_detection(),
                     "workers = {}, schedule = {:?}", workers, schedule
                 );
             }
@@ -100,7 +101,7 @@ proptest! {
     }
 
     /// Without dropping — every fault probed on every word — the packed
-    /// path still reproduces the scalar masks fault-for-fault, so the
+    /// path still reproduces the oracle's masks fault-for-fault, so the
     /// shared observability word is exact even for faults the dropping
     /// campaign would have retired long ago.
     #[test]
@@ -109,31 +110,30 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(6, 100, seed);
         let sim = FaultSimulator::new(&net);
+        let oracle = ReferenceFaultSimulator::new(&net);
         let c = sim.compiled();
         let plan = CampaignPlan::build(c, &faults);
-        let mut scalar = FaultScratch::new(c.len());
         let mut packed = FaultScratch::new(c.len());
-        let mut first_scalar = vec![None; faults.len()];
+        let mut first_oracle = vec![None; faults.len()];
         let mut first_packed = vec![None; faults.len()];
         for (ci, chunk) in patterns.chunks(64).enumerate() {
             let words = pack_patterns(chunk);
             let golden = sim.golden(&words);
             let live = live_mask(chunk.len());
-            scalar.load_golden(&golden);
             packed.load_golden(&golden);
             // No `continue` on prior detection: both paths keep probing.
             for (fi, &fault) in faults.iter().enumerate() {
-                let ms = plan.detect(c, &golden, &mut scalar, fault) & live;
+                let mo = oracle.detection_mask(&net, &words, &golden, fault) & live;
                 let mp = plan.detect_packed(c, &golden, &mut packed, fault).unwrap() & live;
-                prop_assert_eq!(ms, mp, "{}", fault);
-                for (first, mask) in [(&mut first_scalar, ms), (&mut first_packed, mp)] {
+                prop_assert_eq!(mo, mp, "{}", fault);
+                for (first, mask) in [(&mut first_oracle, mo), (&mut first_packed, mp)] {
                     if first[fi].is_none() && mask != 0 {
                         first[fi] = Some(ci * 64 + mask.trailing_zeros() as usize);
                     }
                 }
             }
         }
-        prop_assert_eq!(first_scalar, first_packed);
+        prop_assert_eq!(first_oracle, first_packed);
     }
 
     /// `run_dynamic` is result- and order-identical to `run_sharded`
@@ -178,8 +178,8 @@ proptest! {
 }
 
 /// Sites whose fanout cone reaches no primary output are statically
-/// unobservable: the packed path must report 0 for every fault there
-/// (matching scalar), and `CampaignPlan::observable` must agree with a
+/// unobservable: the packed path must report 0 for every fault there,
+/// and `CampaignPlan::observable` must agree with a
 /// direct cone scan.
 #[test]
 fn unobservable_sites_detect_nothing() {

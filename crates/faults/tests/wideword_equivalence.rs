@@ -1,17 +1,18 @@
-//! Wide-word packed engine ≡ 64-lane engine ≡ scalar oracle, and
+//! Wide-word packed engine ≡ full-resimulation oracle, and
 //! collapsed-universe campaigns ≡ uncollapsed.
 //!
 //! The acceptance bar for the multi-`u64` lane generalization: a
 //! [`PackedWord`] campaign at any supported width must produce the same
-//! `first_detection` vector as the `u64` engine and the scalar cone
-//! oracle — across schedules, worker counts and ragged pattern counts —
-//! and a campaign over a collapsed universe must expand back to the
-//! identical per-fault verdicts while walking measurably fewer faults.
+//! `first_detection` vector as [`ReferenceFaultSimulator`] — across
+//! schedules, worker counts and ragged pattern counts — and a campaign
+//! over a collapsed universe must expand back to the identical per-fault
+//! verdicts while walking measurably fewer faults.
 
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::collapse::collapse;
 use rescue_faults::engine::{CampaignPlan, WideScratch};
+use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
 use rescue_netlist::generate;
@@ -33,8 +34,8 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Per-word wide detection masks agree lane-for-lane with the scalar
-/// `detect` oracle run on the matching 64-pattern sub-chunks, including
+/// Per-word wide detection masks agree lane-for-lane with the reference
+/// oracle run on the matching 64-pattern sub-chunks, including
 /// the ragged tail (the 300-pattern workload is 1×256 + 44 at W=4).
 fn masks_match_scalar<Wd: SimWord>(seed: u64) {
     let net = generate::random_logic(7, 90, 4, seed);
@@ -43,7 +44,7 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
     let plan = CampaignPlan::build(c, &faults);
-    let mut scalar = WideScratch::<u64>::new(c.len());
+    let oracle = ReferenceFaultSimulator::new(&net);
     let mut wide = WideScratch::<Wd>::new(c.len());
     for chunk in patterns.chunks(Wd::LANES) {
         let words = pack_patterns_wide::<Wd>(chunk);
@@ -53,15 +54,14 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
         let live = Wd::live_mask(chunk.len());
         for &fault in &faults {
             let mask = plan.detect_packed(c, &golden, &mut wide, fault).unwrap() & live;
-            // Scalar oracle on each 64-pattern slice of the wide chunk.
+            // Reference oracle on each 64-pattern slice of the wide chunk.
             for (sub_i, sub) in chunk.chunks(64).enumerate() {
                 let sub_words = pack_patterns_wide::<u64>(sub);
                 let mut sub_golden = Vec::new();
                 c.eval_words_into(&sub_words, None, &mut sub_golden)
                     .unwrap();
-                scalar.load_golden(&sub_golden);
-                let sub_mask =
-                    plan.detect(c, &sub_golden, &mut scalar, fault) & u64::live_mask(sub.len());
+                let sub_mask = oracle.detection_mask(&net, &sub_words, &sub_golden, fault)
+                    & u64::live_mask(sub.len());
                 for bit in 0..sub.len() {
                     assert_eq!(
                         mask.lane(sub_i * 64 + bit),
@@ -78,7 +78,7 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// W=4 per-word masks equal the scalar oracle lane-for-lane.
+    /// W=4 per-word masks equal the reference oracle lane-for-lane.
     #[test]
     fn wide_masks_match_scalar_w4(seed in 1u64..500) {
         masks_match_scalar::<PackedWord<4>>(seed);
@@ -93,7 +93,8 @@ proptest! {
 
     /// The full wide campaign — fault dropping, every schedule, several
     /// worker counts, ragged pattern counts that are not multiples of any
-    /// lane count — reproduces the W=1 `first_detection` vector exactly.
+    /// lane count — reproduces the reference `first_detection` vector
+    /// exactly.
     #[test]
     fn wide_campaign_matches_w1_any_schedule(
         seed in 1u64..300,
@@ -103,7 +104,7 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, n_patterns, seed);
         let sim = FaultSimulator::new(&net);
-        let base = sim.campaign_with_stats(&faults, &patterns, &Campaign::serial());
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         for lane_width in [2usize, 4, 8] {
             for workers in [1usize, 4] {
                 for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 17 }] {
@@ -115,11 +116,11 @@ proptest! {
                     );
                     prop_assert_eq!(
                         run.report.first_detection(),
-                        base.report.first_detection(),
+                        oracle.first_detection(),
                         "lanes = {}, workers = {}, schedule = {:?}",
                         lane_width, workers, schedule
                     );
-                    prop_assert_eq!(run.stats.tally.detected, base.stats.tally.detected);
+                    prop_assert_eq!(run.stats.tally.detected, oracle.detected_count());
                     // No collapse requested: every fault is walked.
                     prop_assert_eq!(run.stats.faults_walked, faults.len());
                     prop_assert_eq!(run.stats.collapse_ratio(), 1.0);
@@ -136,7 +137,7 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, 150, seed);
         let sim = FaultSimulator::new(&net);
-        let base = sim.campaign_with_stats(&faults, &patterns, &Campaign::serial());
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         let cu = collapse(&net, &faults);
         for lane_width in [1usize, 4] {
             let run = sim.campaign_packed(
@@ -147,7 +148,7 @@ proptest! {
             );
             prop_assert_eq!(
                 run.report.first_detection(),
-                base.report.first_detection(),
+                oracle.first_detection(),
                 "lanes = {}", lane_width
             );
             prop_assert!(run.stats.faults_walked <= faults.len());

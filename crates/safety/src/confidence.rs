@@ -19,7 +19,8 @@
 use rescue_atpg::podem::{Podem, PodemOutcome};
 use rescue_atpg::untestable::{identify, UntestableReason};
 use rescue_campaign::Campaign;
-use rescue_faults::{simulate::FaultSimulator, Fault};
+use rescue_faults::simulate::{FaultSimulator, PackedOptions};
+use rescue_faults::Fault;
 use rescue_netlist::Netlist;
 
 /// Verdicts of the three engines for one fault.
@@ -94,7 +95,12 @@ pub fn cross_check(netlist: &Netlist, faults: &[Fault], patterns: &[Vec<bool>]) 
     let podem = Podem::new(netlist);
     let fi = FaultSimulator::new(netlist);
     let fi_report = fi
-        .campaign_with_stats(faults, patterns, &Campaign::serial())
+        .campaign_packed(
+            faults,
+            patterns,
+            &Campaign::serial(),
+            PackedOptions::default(),
+        )
         .report;
     let formal = identify(netlist, faults, false);
     let formally_safe: Vec<bool> = faults

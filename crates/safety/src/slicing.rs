@@ -192,7 +192,10 @@ pub fn sliced_campaign_on(
                         continue; // provably undetected by this pattern
                     }
                     *run += 1;
-                    if plan.detect(c, golden, scratch, fault) & 1 != 0 {
+                    let mask = plan
+                        .detect_packed(c, golden, scratch, fault)
+                        .expect("fault root missing from campaign plan");
+                    if mask & 1 != 0 {
                         *detected = Some(pi);
                     }
                 }
@@ -249,6 +252,7 @@ impl CampaignReportBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescue_faults::reference::ReferenceFaultSimulator;
     use rescue_faults::universe;
     use rescue_netlist::generate;
 
@@ -273,17 +277,17 @@ mod tests {
         // Any fault outside the slice must be undetected by that pattern.
         let net = generate::c17();
         let faults = universe::stuck_at_universe(&net);
-        let sim = FaultSimulator::new(&net);
+        let oracle = ReferenceFaultSimulator::new(&net);
         for p in 0u32..32 {
             let pattern: Vec<bool> = (0..5).map(|i| p >> i & 1 == 1).collect();
             let slice = dynamic_slice(&net, &pattern);
             let words = rescue_sim::parallel::pack_patterns(std::slice::from_ref(&pattern));
-            let golden = sim.golden(&words);
+            let golden = oracle.golden(&net, &words);
             for &f in &faults {
                 if slice.contains(&f.site().gate()) {
                     continue;
                 }
-                let detected = sim.detection_mask(&net, &words, &golden, f) & 1;
+                let detected = oracle.detection_mask(&net, &words, &golden, f) & 1;
                 assert_eq!(detected, 0, "pattern {p}, fault {f} escaped the slice");
             }
         }
@@ -295,7 +299,7 @@ mod tests {
         let faults = universe::stuck_at_universe(&net);
         let pats = patterns(7, 48, 5);
         let sliced = sliced_campaign(&net, &faults, &pats);
-        let naive = FaultSimulator::new(&net).campaign(&net, &faults, &pats);
+        let naive = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &pats);
         assert_eq!(
             sliced.report.first_detection(),
             naive.first_detection(),

@@ -1,6 +1,7 @@
 //! Property-based tests for the functional-safety analyses.
 
 use proptest::prelude::*;
+use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::{simulate::FaultSimulator, universe};
 use rescue_netlist::generate;
 use rescue_safety::classify::{classify, FaultClass};
@@ -90,7 +91,7 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let pats = patterns(6, 32, seed);
         let sliced = sliced_campaign(&net, &faults, &pats);
-        let naive = FaultSimulator::new(&net).campaign(&net, &faults, &pats);
+        let naive = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &pats);
         prop_assert_eq!(sliced.report.first_detection(), naive.first_detection());
         for p in &pats {
             let slice = dynamic_slice(&net, p);

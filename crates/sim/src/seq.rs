@@ -108,7 +108,7 @@ impl SeqSimulator {
     ///
     /// [`SimError::InputWidthMismatch`] when `inputs` has the wrong length.
     pub fn step(&mut self, netlist: &Netlist, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
-        let values = self.evaluate(netlist, inputs)?;
+        let values = self.evaluate(inputs)?;
         // Capture next state: DFF input values become the new state.
         for (i, &d) in self.compiled.dff_d().iter().enumerate() {
             self.state[i] = values[d as usize];
@@ -123,7 +123,7 @@ impl SeqSimulator {
     /// # Errors
     ///
     /// [`SimError::InputWidthMismatch`] when `inputs` has the wrong length.
-    pub fn evaluate(&self, _netlist: &Netlist, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
+    pub fn evaluate(&self, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
         let mut values = Vec::new();
         self.compiled
             .eval_bools_into(inputs, &self.state, &mut values)?;
@@ -198,16 +198,16 @@ mod tests {
         let f = generate::control_fsm();
         let mut sim = SeqSimulator::new(&f);
         // IDLE: busy=0
-        let v = sim.evaluate(&f, &[false, false]).unwrap();
+        let v = sim.evaluate(&[false, false]).unwrap();
         let busy = crate::comb::outputs_of(&f, &v)[0];
         assert!(!busy);
         // go -> RUN
         sim.step(&f, &[true, false]).unwrap();
-        let v = sim.evaluate(&f, &[false, false]).unwrap();
+        let v = sim.evaluate(&[false, false]).unwrap();
         assert!(crate::comb::outputs_of(&f, &v)[0], "busy in RUN");
         // RUN -> DONE
         sim.step(&f, &[false, false]).unwrap();
-        let v = sim.evaluate(&f, &[false, false]).unwrap();
+        let v = sim.evaluate(&[false, false]).unwrap();
         assert!(crate::comb::outputs_of(&f, &v)[1], "done asserted");
         // DONE -> IDLE
         sim.step(&f, &[false, false]).unwrap();
