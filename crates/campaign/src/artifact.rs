@@ -15,17 +15,20 @@
 //!
 //! Layout: `<root>/artifacts/<hash>.art`, one file per artifact, written
 //! via atomic rename. Each file wraps the payload in a small envelope
-//! (magic, version, FNV-64 checksum, length) so torn or foreign files read
-//! as missing — a corrupt cache degrades to a rebuild, never a panic — and
-//! are deleted on sight so they cannot re-fail forever.
+//! (magic, version, word-wise checksum, length) so torn or foreign files
+//! read as missing — a corrupt cache degrades to a rebuild, never a
+//! panic — and are deleted on sight so they cannot re-fail forever.
 
-use crate::store::{fnv64, write_file_atomic, ContentHash};
+use crate::store::{checksum64, write_file_atomic, ContentHash};
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Envelope magic: `RSCA` ("RESCUE artifact").
 const MAGIC: [u8; 4] = *b"RSCA";
-/// Envelope format version.
-const VERSION: u8 = 1;
+/// Envelope format version (2: word-wise checksum; version-1 files
+/// read as missing).
+const VERSION: u8 = 2;
 /// Envelope overhead: magic + version + checksum + payload length.
 const HEADER_LEN: usize = 4 + 1 + 8 + 8;
 
@@ -88,7 +91,7 @@ impl ArtifactStore {
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
-        bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
+        bytes.extend_from_slice(&checksum64(payload).to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
         write_file_atomic(&self.path_of(key), &bytes)
@@ -96,18 +99,20 @@ impl ArtifactStore {
 
     /// Returns the payload stored under `key`, or `None` when the key is
     /// absent or its file fails envelope validation (wrong magic or
-    /// version, truncated, checksum mismatch). Invalid files are removed
-    /// so the next save repopulates them.
+    /// version, length disagreeing with the file size, checksum
+    /// mismatch). Invalid files are removed so the next save repopulates
+    /// them.
+    ///
+    /// The payload is read straight into the returned buffer, which is
+    /// only allocated once the header's length matches the file size.
     pub fn load(&self, key: ContentHash) -> Option<Vec<u8>> {
         let path = self.path_of(key);
-        let bytes = std::fs::read(&path).ok()?;
-        match decode(&bytes) {
-            Some(payload) => Some(payload.to_vec()),
-            None => {
-                let _ = std::fs::remove_file(&path);
-                None
-            }
+        let file = File::open(&path).ok()?;
+        let payload = read_envelope(file);
+        if payload.is_none() {
+            let _ = std::fs::remove_file(&path);
         }
+        payload
     }
 
     /// True when `key` has a stored artifact (without reading the
@@ -117,18 +122,21 @@ impl ArtifactStore {
     }
 }
 
-/// Validates the envelope and returns the payload slice.
-fn decode(bytes: &[u8]) -> Option<&[u8]> {
-    if bytes.len() < HEADER_LEN || bytes[..4] != MAGIC || bytes[4] != VERSION {
+/// Reads one envelope from `file` and returns its validated payload.
+fn read_envelope(mut file: File) -> Option<Vec<u8>> {
+    let mut header = [0u8; HEADER_LEN];
+    file.read_exact(&mut header).ok()?;
+    if header[..4] != MAGIC || header[4] != VERSION {
         return None;
     }
-    let checksum = u64::from_le_bytes(bytes[5..13].try_into().ok()?);
-    let len = u64::from_le_bytes(bytes[13..21].try_into().ok()?);
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() as u64 != len || fnv64(payload) != checksum {
+    let checksum = u64::from_le_bytes(header[5..13].try_into().ok()?);
+    let len = u64::from_le_bytes(header[13..21].try_into().ok()?);
+    if len.checked_add(HEADER_LEN as u64)? != file.metadata().ok()?.len() {
         return None;
     }
-    Some(payload)
+    let mut payload = vec![0u8; usize::try_from(len).ok()?];
+    file.read_exact(&mut payload).ok()?;
+    (checksum64(&payload) == checksum).then_some(payload)
 }
 
 #[cfg(test)]

@@ -112,8 +112,13 @@ pub fn hash_netlist_source(netlist: &Netlist) -> ContentHash {
 /// Artifact-cache key of a compiled netlist arena, derived from the
 /// source netlist alone (see [`hash_netlist_source`]).
 pub fn compiled_key(netlist: &Netlist) -> ContentHash {
+    compiled_key_of(hash_netlist_source(netlist))
+}
+
+/// [`compiled_key`] from an already computed netlist hash.
+pub(crate) fn compiled_key_of(netlist: ContentHash) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.compiled.v1");
-    h.write_u128(hash_netlist_source(netlist).0);
+    h.write_u128(netlist.0);
     h.finish()
 }
 
@@ -123,8 +128,13 @@ pub fn compiled_key(netlist: &Netlist) -> ContentHash {
 /// Worker count is deliberately absent: parallel builds are bit-identical
 /// to serial ones, so any worker count may reuse the artifact.
 pub fn plan_key(c: &CompiledNetlist, walk: &[Fault], tracing: bool) -> ContentHash {
+    plan_key_of(hash_netlist(c), walk, tracing)
+}
+
+/// [`plan_key`] from an already computed [`hash_netlist`] value.
+pub(crate) fn plan_key_of(netlist: ContentHash, walk: &[Fault], tracing: bool) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.plan.v1");
-    h.write_u128(hash_netlist(c).0);
+    h.write_u128(netlist.0);
     h.write_u128(hash_faults(walk).0);
     h.write_bool(tracing);
     h.finish()
@@ -197,8 +207,18 @@ pub fn campaign_hash(
     patterns: &[Vec<bool>],
     opts: &PackedOptions,
 ) -> ContentHash {
+    campaign_hash_of(hash_netlist(c), faults, patterns, opts)
+}
+
+/// [`campaign_hash`] from an already computed [`hash_netlist`] value.
+pub(crate) fn campaign_hash_of(
+    netlist: ContentHash,
+    faults: &[Fault],
+    patterns: &[Vec<bool>],
+    opts: &PackedOptions,
+) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.campaign.v1");
-    h.write_u128(hash_netlist(c).0);
+    h.write_u128(netlist.0);
     h.write_u128(hash_faults(faults).0);
     h.write_u128(hash_options(opts).0);
     h.write_u128(hash_patterns(patterns).0);

@@ -14,15 +14,15 @@ use crate::engine::{CampaignPlan, FaultScratch, WideScratch};
 use crate::model::{BridgingFault, Fault, FaultKind, FaultSite};
 use crate::trace::{TracePlan, TraceScratch};
 use rescue_campaign::{
-    ArtifactStore, Campaign, CampaignManifest, CampaignStats, DurableRun, ResultStore, Schedule,
-    ShardedRun, StatsDelta,
+    ArtifactStore, Campaign, CampaignManifest, CampaignStats, ContentHash, DurableRun, ResultStore,
+    Schedule, ShardedRun, StatsDelta,
 };
 use rescue_netlist::{GateKind, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::parallel::{live_mask, pack_patterns};
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord, SUPPORTED_LANE_WIDTHS};
 use rescue_telemetry::{metrics, span};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Outcome of a fault-simulation campaign.
@@ -191,6 +191,11 @@ impl<'a> PackedOptions<'a> {
 #[derive(Debug, Clone)]
 pub struct FaultSimulator {
     compiled: CompiledNetlist,
+    /// [`crate::content::hash_netlist`] of the arena: known up front
+    /// when the arena came through the artifact cache, computed on first
+    /// use otherwise. Plan and campaign keys reuse it, so the design is
+    /// hashed at most once per simulator.
+    netlist_hash: OnceLock<ContentHash>,
 }
 
 impl FaultSimulator {
@@ -198,6 +203,7 @@ impl FaultSimulator {
     pub fn new(netlist: &Netlist) -> Self {
         FaultSimulator {
             compiled: CompiledNetlist::new(netlist),
+            netlist_hash: OnceLock::new(),
         }
     }
 
@@ -208,14 +214,26 @@ impl FaultSimulator {
     /// byte-identical to a fresh compile; a cold or corrupt cache
     /// compiles and publishes.
     pub fn new_cached(netlist: &Netlist, artifacts: &ArtifactStore) -> Self {
+        let hash = crate::content::hash_netlist_source(netlist);
         let compiled = load_or_build(
             Some(artifacts),
-            crate::content::compiled_key(netlist),
+            || crate::content::compiled_key_of(hash),
             CompiledNetlist::from_bytes,
             CompiledNetlist::to_bytes,
             || CompiledNetlist::new(netlist),
         );
-        FaultSimulator { compiled }
+        FaultSimulator {
+            compiled,
+            netlist_hash: OnceLock::from(hash),
+        }
+    }
+
+    /// Content hash of the simulated design
+    /// ([`crate::content::hash_netlist`]), computed at most once.
+    fn netlist_hash(&self) -> ContentHash {
+        *self
+            .netlist_hash
+            .get_or_init(|| crate::content::hash_netlist(&self.compiled))
     }
 
     /// The compiled arena this simulator evaluates on.
@@ -463,25 +481,34 @@ impl FaultSimulator {
             "fault.campaign"
         };
         let _campaign = span!(stage, faults = faults.len());
-        let (walk, expand) = self.walk_list(faults, opts);
+        let (walk, expand) = self.walk_list(faults, opts, campaign.workers);
         let durable = durable.map(|(store, unit_faults)| {
             let manifest = self.manifest_for(faults, patterns, opts, walk.len(), unit_faults);
             (manifest, store)
         });
         let chunks = self.golden_chunks::<Wd>(patterns, campaign.workers);
         let (results, mut stats) = if opts.tracing {
-            let engine = TraceEngine::build(c, &walk, campaign.workers, opts);
+            let engine = TraceEngine::build(c, self.netlist_hash(), &walk, campaign.workers, opts);
             let (results, mut stats) =
                 drain_walk(campaign, &walk, &engine, &chunks, durable.as_ref());
             stats.faults_traced = engine.tplan.statically_traced();
             (results, stats)
         } else {
-            let engine = WalkEngine::build(c, &walk, campaign.workers, opts);
+            let engine = WalkEngine::build(c, self.netlist_hash(), &walk, campaign.workers, opts);
             drain_walk(campaign, &walk, &engine, &chunks, durable.as_ref())
         };
         stats.injections = faults.len();
         stats.faults_walked = walk.len();
-        finish_packed::<Wd>(faults, patterns, opts, &chunks, expand, results, stats)
+        finish_packed::<Wd>(
+            faults,
+            patterns,
+            opts,
+            &chunks,
+            expand.as_deref(),
+            results,
+            stats,
+            campaign.workers,
+        )
     }
 
     /// The deterministic unit plan a durable campaign executes: the walk
@@ -497,7 +524,7 @@ impl FaultSimulator {
         opts: &PackedOptions,
         unit_faults: usize,
     ) -> CampaignManifest {
-        let (walk, _) = self.walk_list(faults, opts);
+        let (walk, _) = self.walk_list(faults, opts, 1);
         self.manifest_for(faults, patterns, opts, walk.len(), unit_faults)
     }
 
@@ -515,7 +542,7 @@ impl FaultSimulator {
             unit_faults
         };
         CampaignManifest::build(
-            crate::content::campaign_hash(&self.compiled, faults, patterns, opts),
+            crate::content::campaign_hash_of(self.netlist_hash(), faults, patterns, opts),
             walk_len,
             grain,
         )
@@ -529,41 +556,49 @@ impl FaultSimulator {
     /// equivalent faults have identical detection masks (the property
     /// the `collapse` tests pin down), so even first-detection indices
     /// expand unchanged. The returned map remembers which walked slot
-    /// answers each original fault (`None` = unobservable class, never
-    /// detected; the map itself is `None` when collapsing is off).
+    /// answers each original fault ([`UNOBSERVED`] = unobservable class,
+    /// never detected; the map itself is `None` when collapsing is off).
+    ///
+    /// The reachability sweep and the per-fault representative lookups
+    /// run on up to `workers` threads over contiguous fault shards; only
+    /// the observable faults — a small fraction of a large universe —
+    /// are then numbered serially, in shard order, so the walk list is
+    /// the same for every worker count.
     fn walk_list(
         &self,
         faults: &[Fault],
         opts: &PackedOptions,
-    ) -> (Vec<Fault>, Option<Vec<Option<u32>>>) {
-        let c = &self.compiled;
-        match opts.collapsed {
-            None => (faults.to_vec(), None),
-            Some(cu) => {
-                // O(gates + edges) reachability sweep first, so cone
-                // construction is paid only for the faults that will
-                // actually be walked. Then one hashing pass over the
-                // universe: per fault, one representative lookup and
-                // one slot lookup.
-                let reachable = crate::engine::po_reachable(c);
-                let mut slot_of = std::collections::HashMap::new();
-                let mut walk = Vec::new();
-                let mut map = Vec::with_capacity(faults.len());
-                for &f in faults {
-                    let rep = cu.representative(f);
-                    if !reachable[rep.site().gate().index()] {
-                        map.push(None);
-                        continue;
-                    }
-                    let slot = *slot_of.entry(rep).or_insert_with(|| {
-                        walk.push(rep);
-                        walk.len() as u32 - 1
-                    });
-                    map.push(Some(slot));
+        workers: usize,
+    ) -> (Vec<Fault>, Option<Vec<u32>>) {
+        let Some(cu) = opts.collapsed else {
+            return (faults.to_vec(), None);
+        };
+        // O(gates + edges) reachability sweep first, so cone
+        // construction is paid only for the faults that will actually be
+        // walked.
+        let reachable = crate::engine::po_reachable_with(&self.compiled, workers);
+        let mut map = vec![0u32; faults.len()];
+        let observed = for_shards(&mut map, workers, |offset, shard| {
+            let mut observed = Vec::new();
+            for (i, (slot, &f)) in shard.iter_mut().zip(&faults[offset..]).enumerate() {
+                let rep = cu.representative(f);
+                if reachable[rep.site().gate().index()] {
+                    observed.push((offset + i, rep));
+                } else {
+                    *slot = UNOBSERVED;
                 }
-                (walk, Some(map))
             }
+            observed
+        });
+        let mut slot_of = std::collections::HashMap::new();
+        let mut walk = Vec::new();
+        for (i, rep) in observed.into_iter().flatten() {
+            map[i] = *slot_of.entry(rep).or_insert_with(|| {
+                walk.push(rep);
+                walk.len() as u32 - 1
+            });
         }
+        (walk, Some(map))
     }
 
     /// Golden values and live mask per chunk, computed once and shared
@@ -926,7 +961,7 @@ impl<S> DrainScratch<S> {
 /// costs the next run a rebuild, never this run its result.
 fn load_or_build<T>(
     artifacts: Option<&ArtifactStore>,
-    key: rescue_campaign::ContentHash,
+    key: impl FnOnce() -> ContentHash,
     decode: impl Fn(&[u8]) -> Option<T>,
     encode: impl Fn(&T) -> Vec<u8>,
     build: impl FnOnce() -> T,
@@ -934,6 +969,7 @@ fn load_or_build<T>(
     let Some(store) = artifacts else {
         return build();
     };
+    let key = key();
     if let Some(artifact) = store.load(key).and_then(|bytes| decode(&bytes)) {
         metrics::counter("plan.cache_hits").add(1);
         return artifact;
@@ -953,10 +989,16 @@ struct WalkEngine<'a> {
 }
 
 impl<'a> WalkEngine<'a> {
-    fn build(c: &'a CompiledNetlist, walk: &[Fault], workers: usize, opts: &PackedOptions) -> Self {
+    fn build(
+        c: &'a CompiledNetlist,
+        netlist_hash: ContentHash,
+        walk: &[Fault],
+        workers: usize,
+        opts: &PackedOptions,
+    ) -> Self {
         let plan = load_or_build(
             opts.artifacts,
-            crate::content::plan_key(c, walk, false),
+            || crate::content::plan_key_of(netlist_hash, walk, false),
             CampaignPlan::from_bytes,
             CampaignPlan::to_bytes,
             || CampaignPlan::build_with(c, walk, workers),
@@ -1005,10 +1047,16 @@ struct TraceEngine<'a> {
 }
 
 impl<'a> TraceEngine<'a> {
-    fn build(c: &'a CompiledNetlist, walk: &[Fault], workers: usize, opts: &PackedOptions) -> Self {
+    fn build(
+        c: &'a CompiledNetlist,
+        netlist_hash: ContentHash,
+        walk: &[Fault],
+        workers: usize,
+        opts: &PackedOptions,
+    ) -> Self {
         let tplan = load_or_build(
             opts.artifacts,
-            crate::content::plan_key(c, walk, true),
+            || crate::content::plan_key_of(netlist_hash, walk, true),
             TracePlan::from_bytes,
             TracePlan::to_bytes,
             || TracePlan::build_with(c, walk, workers),
@@ -1336,18 +1384,57 @@ fn unit_delta<Wd: SimWord>(rs: &[Option<usize>], n_chunks: usize) -> StatsDelta 
     }
 }
 
+/// Walk-list map entry of a fault whose class cannot reach a primary
+/// output: never walked, never detected.
+const UNOBSERVED: u32 = u32::MAX;
+
+/// Below this many items the report bookkeeping passes stay on the
+/// calling thread: starting threads would cost more than the pass.
+const PARALLEL_BOOKKEEPING_MIN: usize = 1 << 16;
+
+/// Runs `f(offset, shard)` over up to `workers` contiguous shards of
+/// `items` — on scoped threads when `items` is large enough to pay for
+/// them — and returns the results in shard order.
+fn for_shards<T: Send, R: Send>(
+    items: &mut [T],
+    workers: usize,
+    f: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || items.len() < PARALLEL_BOOKKEEPING_MIN {
+        return vec![f(0, items)];
+    }
+    let per = items.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .chunks_mut(per)
+            .enumerate()
+            .map(|(k, shard)| scope.spawn(move || f(k * per, shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("report bookkeeping thread panicked"))
+            .collect()
+    })
+}
+
 /// Shared tail of the plain and durable packed campaigns: lane
 /// telemetry, verdict expansion over the full universe and the final
 /// tally/drop accounting. `stats` arrives with the timing, worker and
 /// unit figures already filled by the respective driver.
+///
+/// The expansion and the tallies run over `workers` fault shards, while
+/// one more thread copies the fault list into the report.
+#[allow(clippy::too_many_arguments)]
 fn finish_packed<Wd: SimWord>(
     faults: &[Fault],
     patterns: &[Vec<bool>],
     opts: &PackedOptions,
     chunks: &GoldenChunks<Wd>,
-    expand: Option<Vec<Option<u32>>>,
+    expand: Option<&[u32]>,
     results: Vec<Option<usize>>,
     mut stats: CampaignStats,
+    workers: usize,
 ) -> CampaignRun {
     let n_chunks = chunks.len();
     if rescue_telemetry::enabled() {
@@ -1371,30 +1458,54 @@ fn finish_packed<Wd: SimWord>(
     for live in chunks.live_masks() {
         stats.record_lanes(live.count_ones() as u64, Wd::LANES as u64);
     }
-    // Expand representative verdicts back over the full universe; a
-    // `None` slot is an unobservable class, never detected.
-    let first_detection: Vec<Option<usize>> = match &expand {
-        None => results,
-        Some(map) => map
-            .iter()
-            .map(|&slot| slot.and_then(|s| results[s as usize]))
-            .collect(),
-    };
+    let (report_faults, first_detection, tallies) = std::thread::scope(|scope| {
+        let copy = (faults.len() >= PARALLEL_BOOKKEEPING_MIN && workers > 1)
+            .then(|| scope.spawn(|| faults.to_vec()));
+        // Expand representative verdicts back over the full universe;
+        // an unobserved slot is an unobservable class, never detected.
+        let (mut first_detection, walked) = match expand {
+            None => (results, Vec::new()),
+            Some(_) => (vec![None; faults.len()], results),
+        };
+        let tallies = for_shards(&mut first_detection, workers, |offset, shard| {
+            if let Some(map) = expand {
+                for (first, &slot) in shard.iter_mut().zip(&map[offset..]) {
+                    if slot != UNOBSERVED {
+                        *first = walked[slot as usize];
+                    }
+                }
+            }
+            // A fault counts as dropped when it retired before the final
+            // pattern word (same rule as the fault.dropped counter).
+            let detected = shard.iter().flatten();
+            let dropped = detected
+                .clone()
+                .filter(|&&p| p / Wd::LANES + 1 < n_chunks)
+                .count();
+            (detected.count(), dropped)
+        });
+        let report_faults = match copy {
+            Some(h) => h.join().expect("fault list copy thread panicked"),
+            None => faults.to_vec(),
+        };
+        (report_faults, first_detection, tallies)
+    });
+    stats.tally.detected = tallies.iter().map(|t| t.0).sum();
+    stats.tally.undetected = faults.len() - stats.tally.detected;
+    stats.dropped = tallies.iter().map(|t| t.1).sum();
     let report = CampaignReport {
-        faults: faults.to_vec(),
+        faults: report_faults,
         first_detection,
         patterns: patterns.len(),
     };
-    stats.tally.detected = report.detected_count();
-    stats.tally.undetected = faults.len() - stats.tally.detected;
-    // A fault counts as dropped when it retired before the final
-    // pattern word (same rule as the fault.dropped counter).
-    stats.dropped = report
-        .first_detection
-        .iter()
+    // At the end, so the peak includes the report; left unset where
+    // the peak cannot be read.
+    if let Some(bytes) = rescue_telemetry::enabled()
+        .then(metrics::peak_rss_bytes)
         .flatten()
-        .filter(|&&p| p / Wd::LANES + 1 < n_chunks)
-        .count();
+    {
+        metrics::gauge("mem.peak_rss_bytes").set(i64::try_from(bytes).unwrap_or(i64::MAX));
+    }
     CampaignRun { report, stats }
 }
 
@@ -1544,6 +1655,19 @@ mod tests {
         let stim: Vec<Vec<bool>> = (0..6).map(|_| vec![true]).collect();
         let r = sim.campaign_seq(&[f], &stim);
         assert_eq!(r.first_detection()[0], Some(3));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn campaign_records_peak_rss() {
+        let _serial = rescue_telemetry::exclusive();
+        rescue_telemetry::TelemetryConfig::on().install();
+        let net = generate::c17();
+        let faults = universe::stuck_at_universe(&net);
+        FaultSimulator::new(&net).campaign(&faults, &exhaustive_patterns(5));
+        let peak = metrics::gauge("mem.peak_rss_bytes").get();
+        rescue_telemetry::TelemetryConfig::off().install();
+        assert!(peak > 0, "mem.peak_rss_bytes = {peak}");
     }
 
     #[test]

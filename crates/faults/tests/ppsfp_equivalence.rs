@@ -12,7 +12,7 @@
 //! `run_sharded` no matter which worker claims which chunk.
 
 use proptest::prelude::*;
-use rescue_campaign::{Campaign, Schedule};
+use rescue_campaign::{ArtifactStore, Campaign, MemStore, Schedule};
 use rescue_faults::engine::{CampaignPlan, FaultScratch};
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
@@ -215,4 +215,54 @@ fn unobservable_sites_detect_nothing() {
         unobservable > 0,
         "workload should exercise the pruning path"
     );
+}
+
+/// Universes large enough for the walk list and the report expansion to
+/// run sharded over worker threads. At every worker count the collapsed
+/// campaign gives the 1-worker uncollapsed report and tallies, and the
+/// walk list keeps its order: the plan artifact the 1-worker run cached
+/// is hit, and a durable run reuses the units a 1-worker run stored.
+#[test]
+fn sharded_bookkeeping_matches_one_worker() {
+    let net = generate::random_logic(16, 14_000, 8, 11);
+    let faults = universe::stuck_at_universe(&net);
+    assert!(faults.len() > 1 << 16, "universe too small to shard");
+    let collapsed = rescue_faults::collapse::collapse(&net, &faults);
+    let patterns = random_patterns(16, 100, 11);
+    let sim = FaultSimulator::new(&net);
+    let plain = PackedOptions::default().traced();
+    let oracle = sim.campaign_packed(&faults, &patterns, &Campaign::new(1, 1), plain);
+    let dir = std::env::temp_dir().join(format!("rescue-sharded-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let artifacts = ArtifactStore::open(&dir);
+    let opts = plain.with_collapsed(&collapsed).with_artifacts(&artifacts);
+    let store = MemStore::new();
+    for workers in [1, 2, 3] {
+        let campaign = Campaign::new(1, workers);
+        let run = sim.campaign_packed(&faults, &patterns, &campaign, opts);
+        assert_eq!(run.report, oracle.report, "{workers} workers");
+        assert_eq!(run.stats.tally, oracle.stats.tally, "{workers} workers");
+        assert_eq!(run.stats.dropped, oracle.stats.dropped, "{workers} workers");
+        let plans = std::fs::read_dir(artifacts.dir()).unwrap().count();
+        assert_eq!(
+            plans, 1,
+            "{workers} workers: the walk list changed its plan key"
+        );
+        let durable = sim.campaign_packed_durable(&faults, &patterns, &campaign, opts, &store, 64);
+        assert_eq!(durable.report, oracle.report, "{workers} workers, durable");
+        assert!(
+            durable.stats.units_total > 1,
+            "the plan should span several units"
+        );
+        let executed = if workers == 1 {
+            durable.stats.units_total
+        } else {
+            0
+        };
+        assert_eq!(
+            durable.stats.units_executed, executed,
+            "{workers} workers, durable"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -33,6 +33,12 @@ pub enum NetlistError {
         /// The offending output name.
         name: String,
     },
+    /// A primary input id names no gate, or a gate that is not an
+    /// `Input`.
+    BadInput {
+        /// The offending primary-input id.
+        gate: GateId,
+    },
     /// Duplicate port name.
     DuplicateName {
         /// The name that is already taken.
@@ -74,6 +80,12 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::UnknownOutput { name } => {
                 write!(f, "output `{name}` refers to an unknown gate")
+            }
+            NetlistError::BadInput { gate } => {
+                write!(
+                    f,
+                    "primary input {gate} is not an input gate of the netlist"
+                )
             }
             NetlistError::DuplicateName { name } => {
                 write!(f, "port name `{name}` is already in use")

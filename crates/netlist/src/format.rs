@@ -340,4 +340,14 @@ mod tests {
         assert!(from_text("input a gX").is_err());
         assert!(from_text("g0 = not\n").is_err()); // bad arity via validate
     }
+
+    #[test]
+    fn dangling_primary_output_is_rejected() {
+        // Used to parse, then panic with an index out of bounds when the
+        // netlist was levelized.
+        assert_eq!(
+            from_text("input a g0\noutput y g9\n").unwrap_err(),
+            NetlistError::UnknownOutput { name: "y".into() }
+        );
+    }
 }

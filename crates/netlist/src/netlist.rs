@@ -1,7 +1,7 @@
 //! The [`Netlist`] container.
 
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateId};
+use crate::gate::{Gate, GateId, GateKind};
 use crate::level::Levelization;
 use crate::stats::NetlistStats;
 use std::collections::HashMap;
@@ -144,14 +144,24 @@ impl Netlist {
         out
     }
 
-    /// Validates structural invariants: reference bounds, arity and
-    /// combinational acyclicity.
+    /// Validates structural invariants: reference bounds (gate pins and
+    /// primary ports), arity and combinational acyclicity.
     ///
     /// # Errors
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn validate(&self) -> Result<(), NetlistError> {
         let n = self.gates.len();
+        for &pi in &self.inputs {
+            if self.get(pi).is_none_or(|g| g.kind() != GateKind::Input) {
+                return Err(NetlistError::BadInput { gate: pi });
+            }
+        }
+        for (name, driver) in &self.outputs {
+            if driver.index() >= n {
+                return Err(NetlistError::UnknownOutput { name: name.clone() });
+            }
+        }
         for (i, g) in self.gates.iter().enumerate() {
             for &inp in g.inputs() {
                 if inp.index() >= n {
@@ -276,6 +286,26 @@ mod tests {
         let gates = vec![Gate::new(GateKind::Not, vec![GateId(9)])];
         let err = Netlist::from_parts("bad", gates, vec![], vec![], HashMap::new()).unwrap_err();
         assert!(matches!(err, NetlistError::DanglingInput { .. }));
+    }
+
+    #[test]
+    fn validate_catches_bad_ports() {
+        let gates = || {
+            vec![
+                Gate::new(GateKind::Input, vec![]),
+                Gate::new(GateKind::Not, vec![GateId(0)]),
+            ]
+        };
+        let po = |g| vec![("y".to_string(), GateId(g))];
+        let err = Netlist::from_parts("po", gates(), vec![GateId(0)], po(9), HashMap::new());
+        assert_eq!(
+            err.unwrap_err(),
+            NetlistError::UnknownOutput { name: "y".into() }
+        );
+        for pi in [GateId(1), GateId(7)] {
+            let err = Netlist::from_parts("pi", gates(), vec![pi], po(1), HashMap::new());
+            assert_eq!(err.unwrap_err(), NetlistError::BadInput { gate: pi });
+        }
     }
 
     #[test]

@@ -158,6 +158,21 @@ pub fn pow2_bounds(n: usize) -> Vec<u64> {
     (0..n as u32).map(|i| 1u64 << i).collect()
 }
 
+/// Peak resident set size of this process in bytes: `VmHWM` from
+/// `/proc/self/status`. `None` where that file cannot be read or parsed
+/// (hosts without procfs).
+pub fn peak_rss_bytes() -> Option<u64> {
+    parse_vmhwm(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM` line of a `/proc/<pid>/status` text, in bytes.
+fn parse_vmhwm(status: &str) -> Option<u64> {
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let mut fields = line["VmHWM:".len()..].split_whitespace();
+    let kib: u64 = fields.next()?.parse().ok()?;
+    (fields.next()? == "kB").then(|| kib.saturating_mul(1024))
+}
+
 /// Frozen state of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
@@ -351,6 +366,16 @@ mod tests {
         assert_eq!(g.get(), 7);
         reset();
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn vmhwm_parses_kib_lines_only() {
+        let status = "Name:\tx\nVmPeak:\t  123456 kB\nVmHWM:\t   20480 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(parse_vmhwm(status), Some(20480 * 1024));
+        assert_eq!(parse_vmhwm("VmRSS:\t1 kB\n"), None);
+        assert_eq!(parse_vmhwm("VmHWM:\tlots kB\n"), None);
+        assert_eq!(parse_vmhwm("VmHWM:\t1024\n"), None);
+        assert_eq!(parse_vmhwm("VmHWM:\t1024 MB\n"), None);
     }
 
     #[test]
