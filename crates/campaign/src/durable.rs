@@ -387,6 +387,25 @@ mod tests {
     }
 
     #[test]
+    fn unpublishable_store_keeps_the_run_and_leaves_units_missing() {
+        let items: Vec<u64> = (0..45).collect();
+        let manifest = manifest_for(items.len(), 10);
+        let store = temp_store("unpublishable");
+        std::fs::remove_dir_all(store.root().join("units")).unwrap();
+        let campaign = Campaign::new(0, 2);
+        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        for _ in 0..2 {
+            // Every publish fails: the run still returns every verdict,
+            // and nothing is cached for the next run.
+            let run = run_toy(&campaign, &items, &manifest, &store);
+            assert_eq!(run.results, expect);
+            assert_eq!(run.units_executed, manifest.units.len());
+            assert_eq!(run.units_cached, 0);
+        }
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
     fn two_writers_on_one_fs_store_never_double_execute() {
         let items: Vec<u64> = (0..400).collect();
         let manifest = manifest_for(items.len(), 8);

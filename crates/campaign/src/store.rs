@@ -42,6 +42,7 @@ struct StoreMetrics {
     claims_contended: metrics::Counter,
     claims_broken: metrics::Counter,
     corrupt_records: metrics::Counter,
+    put_errors: metrics::Counter,
     claim_age_ms: metrics::Histogram,
 }
 
@@ -54,6 +55,7 @@ fn store_metrics() -> &'static StoreMetrics {
         claims_contended: metrics::counter("store.claims_contended"),
         claims_broken: metrics::counter("store.claims_broken"),
         corrupt_records: metrics::counter("store.corrupt_records"),
+        put_errors: metrics::counter("store.put_errors"),
         // Claim-to-publish latency from µs-scale MemStore units up to
         // the stale-claim horizon (2^20 ms ≈ 17 min).
         claim_age_ms: metrics::histogram("store.claim_age_ms", &metrics::pow2_bounds(21)),
@@ -375,7 +377,10 @@ pub trait ResultStore: Sync {
     /// missing, so the unit is simply re-executed).
     fn get(&self, id: ContentHash) -> Option<UnitRecord>;
 
-    /// Publishes a unit's result and releases the caller's claim.
+    /// Publishes a unit's result and releases the caller's claim. A
+    /// store that cannot publish drops the record and still releases the
+    /// claim, so the unit reads as missing and is re-executed later; the
+    /// caller keeps its in-memory result either way.
     fn put(&self, id: ContentHash, record: &UnitRecord);
 
     /// Tries to take exclusive execution rights for a unit.
@@ -595,10 +600,15 @@ impl ResultStore for FsStore {
 
     fn put(&self, id: ContentHash, record: &UnitRecord) {
         store_metrics().puts.incr();
-        let path = self.unit_path(id);
-        write_file_atomic(&path, &record.encode())
-            .unwrap_or_else(|e| panic!("publish unit record {path:?}: {e}"));
         let claim = self.claim_path(id);
+        if write_file_atomic(&self.unit_path(id), &record.encode()).is_err() {
+            // A failed publish must not kill the campaign: the caller
+            // keeps its verdicts, and dropping the claim lets this or a
+            // later run re-execute the unit.
+            store_metrics().put_errors.incr();
+            let _ = std::fs::remove_file(claim);
+            return;
+        }
         // Claim-to-publish latency from the claim file's age; the extra
         // stat is only paid while telemetry records anything.
         if rescue_telemetry::enabled() {
@@ -999,6 +1009,33 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
             .count();
         assert_eq!(tmp_files, 0);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn fs_store_failed_publish_is_counted_and_leaves_the_unit_missing() {
+        use rescue_telemetry::TelemetryConfig;
+        let store = temp_store("put-error");
+        let id = ContentHash(0xdead);
+        assert_eq!(store.claim(id), ClaimOutcome::Acquired);
+        std::fs::remove_dir_all(store.root().join("units")).unwrap();
+        let snap = {
+            let _serial = rescue_telemetry::exclusive();
+            TelemetryConfig::on().install();
+            metrics::reset();
+            store.put(id, &sample_record(3));
+            let snap = metrics::snapshot();
+            TelemetryConfig::off().install();
+            snap
+        };
+        assert_eq!(snap.counter("store.put_errors"), Some(1));
+        assert_eq!(store.get(id), None, "nothing was published");
+        assert_eq!(store.completed_units(), 0);
+        assert_eq!(
+            store.claim(id),
+            ClaimOutcome::Acquired,
+            "the failed put released the claim"
+        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -12,7 +12,6 @@
 //! fault universes and content hashes must be derived from the *renumbered*
 //! netlist, never mixed with ids from the original.
 
-use crate::error::ensure_u32_indexable;
 use crate::gate::{Gate, GateId};
 use crate::level::Levelization;
 use crate::netlist::Netlist;
@@ -31,13 +30,23 @@ use std::collections::HashMap;
 /// that large should reject them with the typed error first.
 pub fn levelized(netlist: &Netlist) -> (Netlist, Vec<u32>) {
     let n = netlist.len();
-    ensure_u32_indexable(n).unwrap_or_else(|e| panic!("{e}"));
     let levels = Levelization::new(netlist);
-    let mut by_level: Vec<u32> = (0..n as u32).collect();
-    by_level.sort_by_key(|&g| (levels.level(GateId(g as usize)), g));
+    // Stable counting sort on level: `next[l]` is the first free new id
+    // on level `l`, and old ids are placed in ascending order.
+    let mut next = vec![0u32; levels.depth() as usize + 2];
+    for &l in levels.levels() {
+        next[l as usize + 1] += 1;
+    }
+    for l in 1..next.len() {
+        next[l] += next[l - 1];
+    }
+    let mut by_level = vec![0u32; n];
     let mut new_of = vec![0u32; n];
-    for (new_id, &old) in by_level.iter().enumerate() {
-        new_of[old as usize] = new_id as u32;
+    for (old, &l) in levels.levels().iter().enumerate() {
+        let slot = &mut next[l as usize];
+        by_level[*slot as usize] = old as u32;
+        new_of[old] = *slot;
+        *slot += 1;
     }
     let remap = |id: GateId| GateId(new_of[id.index()] as usize);
     let mut gates = Vec::with_capacity(n);

@@ -32,7 +32,8 @@ use crate::error::SimError;
 use crate::logic::Logic;
 use crate::sweep::SweepPlan;
 use crate::wide::SimWord;
-use rescue_netlist::{GateId, GateKind, Netlist, NetlistError};
+use rescue_netlist::level;
+use rescue_netlist::{GateKind, Levelization, Netlist, NetlistError};
 
 /// Flat-arena, levelized form of a [`Netlist`]. See the module docs for
 /// the layout.
@@ -94,17 +95,11 @@ impl CompiledNetlist {
     pub fn try_new(netlist: &Netlist) -> Result<Self, NetlistError> {
         let n = netlist.len();
         rescue_netlist::ensure_u32_indexable(n)?;
-        let lv = netlist.levelize();
-
-        let mut kinds = Vec::with_capacity(n);
-        let mut pin_offsets = Vec::with_capacity(n + 1);
-        let mut pins = Vec::new();
-        pin_offsets.push(0);
-        for (_, g) in netlist.iter() {
-            kinds.push(g.kind());
-            pins.extend(g.inputs().iter().map(|p| p.index() as u32));
-            pin_offsets.push(pins.len() as u32);
-        }
+        let (kinds, pin_csr) = level::pin_csr(netlist);
+        let fan_csr = pin_csr.transpose();
+        let lv = Levelization::from_csr(&kinds, &pin_csr, &fan_csr);
+        let (pin_offsets, pins) = pin_csr.into_parts();
+        let (fan_offsets, fan) = fan_csr.into_parts();
 
         let order: Vec<u32> = lv.order().iter().map(|g| g.index() as u32).collect();
         let mut topo_pos = vec![0u32; n];
@@ -116,26 +111,9 @@ impl CompiledNetlist {
             .copied()
             .filter(|&g| !matches!(kinds[g as usize], GateKind::Input | GateKind::Dff))
             .collect();
-        let levels: Vec<u32> = (0..n).map(|i| lv.level(GateId(i))).collect();
-
-        // Fanout CSR via counting sort over the pin arena.
-        let mut fan_counts = vec![0u32; n];
-        for &p in &pins {
-            fan_counts[p as usize] += 1;
-        }
-        let mut fan_offsets = Vec::with_capacity(n + 1);
-        fan_offsets.push(0u32);
-        for g in 0..n {
-            fan_offsets.push(fan_offsets[g] + fan_counts[g]);
-        }
-        let mut fan = vec![0u32; pins.len()];
-        let mut cursor: Vec<u32> = fan_offsets[..n].to_vec();
-        for g in 0..n {
-            for &p in &pins[pin_offsets[g] as usize..pin_offsets[g + 1] as usize] {
-                fan[cursor[p as usize] as usize] = g as u32;
-                cursor[p as usize] += 1;
-            }
-        }
+        let depth = lv.depth();
+        let levels = lv.levels().to_vec();
+        drop(lv);
 
         let pis: Vec<u32> = netlist
             .primary_inputs()
@@ -183,7 +161,7 @@ impl CompiledNetlist {
             fan_offsets,
             fan,
             comb_fan_degree,
-            depth: lv.depth(),
+            depth,
             sweep: None,
         };
         c.sweep = c.derive_sweep();
