@@ -68,14 +68,12 @@ pub fn pseudo_exhaustive(netlist: &Netlist, k: usize) -> Result<PseudoExhaustive
     let mut patterns = Vec::new();
     let mut cones = Vec::new();
     for (name, out) in netlist.primary_outputs() {
-        let cone_gates = cone::fanin_cone(netlist, &[*out]);
+        let fanin = cone::fanin_cone(netlist, &[*out]);
         let cone_inputs: Vec<usize> = netlist
             .primary_inputs()
             .iter()
             .enumerate()
-            .filter(|(_, pi)| {
-                cone_gates.contains(pi) && netlist.gate(**pi).kind() == GateKind::Input
-            })
+            .filter(|(_, pi)| fanin.contains(pi) && netlist.gate(**pi).kind() == GateKind::Input)
             .map(|(i, _)| i)
             .collect();
         if cone_inputs.len() > k {

@@ -2,9 +2,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rescue_faults::engine::{CampaignPlan, WideScratch};
+use rescue_faults::engine::{Detector, WideScratch};
 use rescue_faults::simulate::FaultSimulator;
-use rescue_faults::trace::{TracePlan, TraceScratch};
+use rescue_faults::trace::TraceScratch;
 use rescue_faults::Fault;
 use rescue_netlist::Netlist;
 use rescue_sim::compiled::CompiledNetlist;
@@ -71,7 +71,7 @@ pub fn weighted_random_tpg(
 
 /// [`weighted_random_tpg`] on a wide machine word of `lane_width` 64-bit
 /// limbs: each coverage batch simulates `64 * lane_width` patterns in one
-/// set of cone walks. The pattern stream is drawn identically for every
+/// set of event walks. The pattern stream is drawn identically for every
 /// width; only the batch granularity changes (the run stops and the
 /// coverage curve samples at batch boundaries), so wider words may
 /// overshoot the target by at most one batch.
@@ -120,9 +120,8 @@ pub fn weighted_random_tpg_wide(
 }
 
 /// [`weighted_random_tpg_wide`] with detection routed through the
-/// critical-path-tracing / cone-walk hybrid
-/// ([`rescue_faults::trace::TracePlan`]) instead of the pure PPSFP cone
-/// walk. The pattern stream, batching and stopping rule are identical, and
+/// critical-path-tracing / event-walk hybrid
+/// ([`Detector::detect_traced`]) instead of the pure PPSFP event walk. The pattern stream, batching and stopping rule are identical, and
 /// the hybrid's masks are bit-identical to the walking engine's, so the
 /// generated pattern set and coverage curve match
 /// [`weighted_random_tpg_wide`] exactly — only the per-batch cost changes.
@@ -181,29 +180,28 @@ pub fn weighted_random_tpg_traced(
     }
 }
 
-/// Either detection engine behind the width-generic TPG loop, so tracing
-/// and walking share one batching/stopping implementation.
+/// Either detection engine's scratch behind the width-generic TPG loop,
+/// so tracing and walking share one batching/stopping implementation.
 enum TpgEngine<Wd: SimWord> {
-    /// Pure PPSFP: one event-driven cone walk per (site, batch).
-    Walk(CampaignPlan, WideScratch<Wd>),
-    /// CPT hybrid: backward tracing, cone walks only at stems.
-    Trace(TracePlan, TraceScratch<Wd>),
+    /// Pure PPSFP: one event-driven walk per (site, batch).
+    Walk(WideScratch<Wd>),
+    /// CPT hybrid: backward tracing, event walks only at stems.
+    Trace(TraceScratch<Wd>),
 }
 
 impl<Wd: SimWord> TpgEngine<Wd> {
     fn load_golden(&mut self, golden: &[Wd]) {
         match self {
-            TpgEngine::Walk(_, s) => s.load_golden(golden),
-            TpgEngine::Trace(_, s) => s.load_golden(golden),
+            TpgEngine::Walk(s) => s.load_golden(golden),
+            TpgEngine::Trace(s) => s.load_golden(golden),
         }
     }
 
-    fn detect(&mut self, c: &CompiledNetlist, golden: &[Wd], fault: Fault) -> Wd {
+    fn detect(&mut self, det: &Detector, c: &CompiledNetlist, golden: &[Wd], fault: Fault) -> Wd {
         match self {
-            TpgEngine::Walk(plan, s) => plan.detect_packed(c, golden, s, fault),
-            TpgEngine::Trace(plan, s) => plan.detect_traced(c, golden, s, fault),
+            TpgEngine::Walk(s) => det.detect_packed(c, golden, s, fault),
+            TpgEngine::Trace(s) => det.detect_traced(c, golden, s, fault),
         }
-        .expect("fault root missing from campaign plan")
     }
 }
 
@@ -246,21 +244,16 @@ fn weighted_tpg_engine<Wd: SimWord>(
     let mut rng = StdRng::seed_from_u64(seed);
     let n_in = netlist.primary_inputs().len();
     let sim = FaultSimulator::new(netlist);
-    // Plan and scratch amortized over the whole run: the coverage loop is
-    // the PPSFP dropping path, one observability walk per (site, batch)
-    // shared by every undetected fault at that site — or, with tracing,
-    // per reconvergent stem only.
+    // Reachability and scratch amortized over the whole run: the
+    // coverage loop is the PPSFP dropping path, one observability walk
+    // per (site, batch) shared by every undetected fault at that site —
+    // or, with tracing, per reconvergent stem only.
     let c = sim.compiled();
+    let det = Detector::new(c);
     let mut engine = if tracing {
-        TpgEngine::Trace(
-            TracePlan::build(c, faults),
-            TraceScratch::<Wd>::new(c.len()),
-        )
+        TpgEngine::Trace(TraceScratch::<Wd>::new(c.len()))
     } else {
-        TpgEngine::Walk(
-            CampaignPlan::build(c, faults),
-            WideScratch::<Wd>::new(c.len()),
-        )
+        TpgEngine::Walk(WideScratch::<Wd>::new(c.len()))
     };
     let mut patterns: Vec<Vec<bool>> = Vec::new();
     let mut curve = Vec::new();
@@ -283,7 +276,7 @@ fn weighted_tpg_engine<Wd: SimWord>(
             if detected[fi] {
                 continue; // fault dropping
             }
-            if !(engine.detect(c, &golden, fault) & live).is_zero() {
+            if !(engine.detect(&det, c, &golden, fault) & live).is_zero() {
                 detected[fi] = true;
             }
         }

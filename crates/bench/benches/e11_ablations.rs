@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rescue_bench::{banner, blog};
 use rescue_core::atpg::random::{random_tpg, weighted_random_tpg};
 use rescue_core::faults::collapse::collapse;
-use rescue_core::faults::engine::{CampaignPlan, FaultScratch};
+use rescue_core::faults::engine::{Detector, FaultScratch};
 use rescue_core::faults::{simulate::FaultSimulator, universe, Fault};
 use rescue_core::netlist::generate;
 use rescue_core::sim::parallel::{live_mask, pack_patterns};
@@ -34,7 +34,7 @@ fn patterns(n_in: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
 /// every chunk (the naive baseline the real campaign improves on).
 fn campaign_no_dropping(sim: &FaultSimulator, faults: &[Fault], pats: &[Vec<bool>]) -> usize {
     let c = sim.compiled();
-    let plan = CampaignPlan::build(c, faults);
+    let det = Detector::new(c);
     let mut scratch = FaultScratch::new(c.len());
     let mut detections = 0usize;
     for chunk in pats.chunks(64) {
@@ -42,7 +42,7 @@ fn campaign_no_dropping(sim: &FaultSimulator, faults: &[Fault], pats: &[Vec<bool
         scratch.load_golden(&golden);
         let live = live_mask(chunk.len());
         for &f in faults {
-            if plan.detect_packed(c, &golden, &mut scratch, f).unwrap() & live != 0 {
+            if det.detect_packed(c, &golden, &mut scratch, f) & live != 0 {
                 detections += 1;
             }
         }
@@ -53,14 +53,14 @@ fn campaign_no_dropping(sim: &FaultSimulator, faults: &[Fault], pats: &[Vec<bool
 /// A "serial" campaign: one pattern per word (wasting 63 of 64 lanes).
 fn campaign_serial(sim: &FaultSimulator, faults: &[Fault], pats: &[Vec<bool>]) -> usize {
     let c = sim.compiled();
-    let plan = CampaignPlan::build(c, faults);
+    let det = Detector::new(c);
     let mut scratch = FaultScratch::new(c.len());
     let mut detected = vec![false; faults.len()];
     for pat in pats {
         let golden = sim.golden(&pack_patterns(std::slice::from_ref(pat)));
         scratch.load_golden(&golden);
         for (fi, &f) in faults.iter().enumerate() {
-            if !detected[fi] && plan.detect_packed(c, &golden, &mut scratch, f).unwrap() & 1 != 0 {
+            if !detected[fi] && det.detect_packed(c, &golden, &mut scratch, f) & 1 != 0 {
                 detected[fi] = true;
             }
         }

@@ -1,7 +1,6 @@
 //! E12 — fault-simulation engine shoot-out: the PPSFP packed engine
-//! (incremental fanout-cone walks over the compiled arena, event-horizon
-//! early exit) against the full-resimulation reference engine it
-//! replaced.
+//! (event propagation by level over the compiled arena) against the
+//! full-resimulation reference engine it replaced.
 //!
 //! Workload fixed by the acceptance criterion: the complete stuck-at
 //! universe of `random_logic(16, 2000, 4, _)` under 1000 random

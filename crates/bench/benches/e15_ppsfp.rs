@@ -27,7 +27,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, host_cpus};
 use rescue_core::campaign::{Campaign, Schedule};
-use rescue_core::faults::engine::{CampaignPlan, FaultScratch};
+use rescue_core::faults::engine::{Detector, FaultScratch};
 use rescue_core::faults::reference::ReferenceFaultSimulator;
 use rescue_core::faults::simulate::{CampaignRun, FaultSimulator, PackedOptions};
 use rescue_core::faults::{universe, Fault};
@@ -75,14 +75,15 @@ fn median_secs<F: FnMut()>(mut f: F, runs: usize) -> f64 {
 /// Packed campaign with dropping disabled: every fault is probed on
 /// every word through the public engine API. Isolates the
 /// one-observability-walk-per-site factoring from the dropping win.
-/// Builds its own plan so every ladder rung pays the same setup cost.
+/// Runs its own reachability sweep so every ladder rung pays the same
+/// setup cost.
 fn ppsfp_no_dropping(
     sim: &FaultSimulator,
     faults: &[Fault],
     patterns: &[Vec<bool>],
 ) -> Vec<Option<usize>> {
     let c = sim.compiled();
-    let plan = CampaignPlan::build(c, faults);
+    let det = Detector::new(c);
     let mut scratch = FaultScratch::new(c.len());
     let mut first: Vec<Option<usize>> = vec![None; faults.len()];
     for (ci, chunk) in patterns.chunks(64).enumerate() {
@@ -91,7 +92,7 @@ fn ppsfp_no_dropping(
         scratch.load_golden(&golden);
         let live = live_mask(chunk.len());
         for (fi, &fault) in faults.iter().enumerate() {
-            let mask = plan.detect_packed(c, &golden, &mut scratch, fault).unwrap() & live;
+            let mask = det.detect_packed(c, &golden, &mut scratch, fault) & live;
             if first[fi].is_none() && mask != 0 {
                 first[fi] = Some(ci * 64 + mask.trailing_zeros() as usize);
             }

@@ -8,7 +8,7 @@
 //! reference campaign, then times the ablation ladder:
 //!
 //! * `w1` / `w2` / `w4` / `w8` — the packed dropping campaign at 64,
-//!   128, 256 and 512 patterns per cone walk, one worker (isolates the
+//!   128, 256 and 512 patterns per event walk, one worker (isolates the
 //!   lane-width win from scheduling);
 //! * `w4_collapsed` — 256 lanes over the collapsed universe (only
 //!   observable equivalence-class representatives are walked, verdicts

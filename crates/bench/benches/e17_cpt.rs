@@ -1,4 +1,4 @@
-//! E17 — critical-path tracing / cone-walk hybrid fault simulation.
+//! E17 — critical-path tracing / event-walk hybrid fault simulation.
 //!
 //! Two workload rungs on the big-circuit ladder:
 //!
@@ -13,7 +13,7 @@
 //! from, all serial (one worker) so the engine is measured, not the
 //! scheduler:
 //!
-//! * `walk` — the E16 baseline: W=4 packed cone walks over the collapsed
+//! * `walk` — the E16 baseline: W=4 packed event walks over the collapsed
 //!   universe (one event-driven walk per live site per 256-pattern word);
 //! * `trace` — W=4 with critical-path tracing, collapse off (observability
 //!   by backward sensitization, walks only at reconvergent stems);
@@ -166,7 +166,7 @@ fn run_rung(
 }
 
 fn bench(c: &mut Criterion) {
-    banner("E17", "critical-path tracing / cone-walk hybrid");
+    banner("E17", "critical-path tracing / event-walk hybrid");
     let smoke = std::env::var("E17_SMOKE").is_ok_and(|v| v == "1");
 
     if smoke {

@@ -1,5 +1,5 @@
-//! E20 — million-gate scaling ladder: parallel plan construction,
-//! level-ordered layouts and the compiled-artifact cache.
+//! E20 — million-gate scaling ladder: level-ordered layouts, the
+//! level-blocked sweep kernels and the compiled-artifact cache.
 //!
 //! Three rungs from `generate::scaling_ladder()` — 50 k, 200 k and 10^6
 //! gates — each measuring the *setup* path that dominates big-circuit
@@ -10,16 +10,15 @@
 //!   cache-friendly layout) and arena compilation;
 //! * **collapse** — the dense-slot equivalence rule pass
 //!   (`collapse_with`, sharded over workers);
-//! * **plan build, serial vs parallel** — `TracePlan::build` against
-//!   `TracePlan::build_with(workers)` on the campaign's walk list
-//!   (byte-identity asserted before timing; the >= 2x acceptance guard
-//!   on the 200 k+ rungs is gated on `host_cpus() >= 4`);
 //! * **artifact cache, cold vs warm** — the same campaign through
-//!   `FaultSimulator::new_cached` + `PackedOptions::with_artifacts`:
-//!   the cold pass builds and publishes compiled netlist + plan, the
-//!   warm pass decodes them (zero DFS / classification work), and the
-//!   warm plan-reload is timed directly against the serial build.
-//!   Verdict equality cold vs warm vs uncached is asserted per rung.
+//!   `FaultSimulator::new_cached`: the cold pass compiles and publishes
+//!   the arena, the warm pass decodes it. Campaigns build no per-fault
+//!   plan (detection propagates events by level), so the arena is the
+//!   only cached artifact. Verdict equality cold vs warm is asserted per
+//!   rung, and warm must be no slower than cold on the 200 k+ rungs;
+//! * **sweep kernels** — one golden-chunk evaluation with the
+//!   level-blocked sweep against the gate-order fold, and the whole warm
+//!   campaign with the sweep disabled.
 //!
 //! Campaign timings use 256 random patterns through the hybrid engine
 //! (W=4, collapsed, traced). On the 50 k rung the same campaign also runs
@@ -38,11 +37,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, host_cpus, warn_env_drift};
 use rescue_core::campaign::{ArtifactStore, Campaign};
-use rescue_core::faults::collapse::{collapse_with, CollapsedUniverse};
-use rescue_core::faults::engine::po_reachable;
+use rescue_core::faults::collapse::collapse_with;
+use rescue_core::faults::engine::Detector;
 use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
-use rescue_core::faults::trace::TracePlan;
-use rescue_core::faults::{content, universe, Fault};
+use rescue_core::faults::universe;
 use rescue_core::netlist::generate::{scaling_ladder, ScaleRung};
 use rescue_core::netlist::renumber;
 use rescue_core::sim::compiled::CompiledNetlist;
@@ -96,39 +94,14 @@ fn secs_min<T>(n: usize, mut setup: impl FnMut(), mut f: impl FnMut() -> T) -> (
     (out.expect("n >= 1"), best)
 }
 
-/// The walk list the packed engines plan over: PO-reachable collapse
-/// representatives in order of first appearance over the universe —
-/// exactly the list `campaign_packed` plans (and keys its cached plan)
-/// under.
-fn walk_list_of(
-    c: &CompiledNetlist,
-    collapsed: &CollapsedUniverse,
-    faults: &[Fault],
-) -> Vec<Fault> {
-    let reachable = po_reachable(c);
-    let mut seen = std::collections::HashSet::new();
-    let mut walk = Vec::new();
-    for &f in faults {
-        let rep = collapsed.representative(f);
-        if reachable[rep.site().gate().index()] && seen.insert(rep) {
-            walk.push(rep);
-        }
-    }
-    walk
-}
-
 struct RungResult {
     name: &'static str,
     gates: usize,
     faults: usize,
-    walk_len: usize,
     t_generate: f64,
     t_levelize: f64,
     t_compile: f64,
     t_collapse: f64,
-    t_plan_serial: f64,
-    t_plan_parallel: f64,
-    t_plan_reload: f64,
     t_campaign_cold: f64,
     t_campaign_warm: f64,
     t_campaign_warm_no_sweep: f64,
@@ -140,12 +113,6 @@ struct RungResult {
 }
 
 impl RungResult {
-    fn plan_speedup(&self) -> f64 {
-        self.t_plan_serial / self.t_plan_parallel
-    }
-    fn reload_speedup(&self) -> f64 {
-        self.t_plan_serial / self.t_plan_reload
-    }
     /// Speedup of the level-blocked sweep kernels on the phase they
     /// target: full-design golden-chunk evaluation. The event-driven
     /// walks touch a handful of gates per fault, so the batch kernels
@@ -169,22 +136,9 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
     let (mut c, t_compile) = secs(|| CompiledNetlist::new(&lev));
     let faults = universe::stuck_at_universe(&lev);
     let (collapsed, t_collapse) = secs(|| collapse_with(&lev, &faults, workers));
-    let walk = walk_list_of(&c, &collapsed, &faults);
 
-    // Parallel plan construction must be invisible: byte-identical to
-    // the serial build (the property suite pins this on small designs;
-    // asserting it here extends the evidence to the full-size rungs).
-    let (serial_plan, t_plan_serial) = secs(|| TracePlan::build(&c, &walk));
-    let (parallel_plan, t_plan_parallel) = secs(|| TracePlan::build_with(&c, &walk, workers));
-    assert_eq!(
-        serial_plan.to_bytes(),
-        parallel_plan.to_bytes(),
-        "{}-gate rung: parallel plan build diverged from serial",
-        rung.gates
-    );
-
-    // Artifact cache: cold publishes, warm decodes. The reload timing is
-    // the direct "setup executes zero DFS" number.
+    // Artifact cache: cold compiles and publishes the arena, warm
+    // decodes it.
     let dir = std::env::temp_dir().join(format!("rescue-e20-{}-{}", rung.name, std::process::id()));
     let patterns = random_patterns(lev.primary_inputs().len(), n_patterns, rung.seed ^ 0x9e37);
     let campaign = Campaign::new(0, workers);
@@ -200,7 +154,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         || {
             let store = ArtifactStore::open(&dir);
             let sim = FaultSimulator::new_cached(&lev, &store);
-            sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
+            sim.campaign_packed(&faults, &patterns, &campaign, opts)
         },
     );
     // Warm: the store the last cold pass populated stays in place.
@@ -210,7 +164,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         || {},
         || {
             let sim = FaultSimulator::new_cached(&lev, &store);
-            sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
+            sim.campaign_packed(&faults, &patterns, &campaign, opts)
         },
     );
     assert_eq!(
@@ -255,7 +209,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         || {
             let mut sim = FaultSimulator::new_cached(&lev, &store);
             sim.set_sweep(false);
-            sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
+            sim.campaign_packed(&faults, &patterns, &campaign, opts)
         },
     );
     assert_eq!(
@@ -265,29 +219,16 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         rung.gates
     );
 
-    let key = content::plan_key(&c, &walk, true);
-    let (reloaded, t_plan_reload) = secs(|| {
-        TracePlan::from_bytes(&store.load(key).expect("cold pass published the trace plan"))
-            .expect("stored plan decodes")
-    });
-    assert_eq!(
-        reloaded, serial_plan,
-        "cache reload diverged from fresh build"
-    );
     std::fs::remove_dir_all(&dir).ok();
 
     RungResult {
         name: rung.name,
         gates: lev.len(),
         faults: faults.len(),
-        walk_len: walk.len(),
         t_generate,
         t_levelize,
         t_compile,
         t_collapse,
-        t_plan_serial,
-        t_plan_parallel,
-        t_plan_reload,
         t_campaign_cold,
         t_campaign_warm,
         t_campaign_warm_no_sweep,
@@ -345,19 +286,17 @@ fn smoke(rung: &ScaleRung, workers: usize) {
     j.export_jsonl(std::path::Path::new(path))
         .expect("write smoke journal");
     blog!(
-        "  smoke [{}]: {} gates, {} faults ({} planned, {} walked, {} statically traced), \
-         coverage {:.2}%, plan {:.0} ms serial / {:.0} ms parallel / {:.1} ms reload, \
+        "  smoke [{}]: {} gates, {} faults ({} walked, {} statically traced), \
+         coverage {:.2}%, campaign {:.0} ms cold / {:.0} ms warm, \
          {} journal events -> {path}",
         r.name,
         r.gates,
         r.faults,
-        r.walk_len,
         r.walked,
         r.traced,
         r.coverage * 100.0,
-        r.t_plan_serial * 1e3,
-        r.t_plan_parallel * 1e3,
-        r.t_plan_reload * 1e3,
+        r.t_campaign_cold * 1e3,
+        r.t_campaign_warm * 1e3,
         j.len()
     );
 }
@@ -380,12 +319,11 @@ fn bench(c: &mut Criterion) {
 
     for r in &results {
         blog!(
-            "\n  {} rung: {} gates, {} faults, {} planned roots, coverage {:.2}% \
+            "\n  {} rung: {} gates, {} faults, coverage {:.2}% \
              ({} walked, {} statically traced)",
             r.name,
             r.gates,
             r.faults,
-            r.walk_len,
             r.coverage * 100.0,
             r.walked,
             r.traced
@@ -396,15 +334,6 @@ fn bench(c: &mut Criterion) {
             r.t_levelize * 1e3,
             r.t_compile * 1e3,
             r.t_collapse * 1e3
-        );
-        blog!(
-            "    plan: serial {:>8.1} ms   parallel({workers}) {:>8.1} ms ({:.2}x)   \
-             cache reload {:>6.2} ms ({:.0}x)",
-            r.t_plan_serial * 1e3,
-            r.t_plan_parallel * 1e3,
-            r.plan_speedup(),
-            r.t_plan_reload * 1e3,
-            r.reload_speedup()
         );
         blog!(
             "    campaign ({PATTERNS} patterns, hybrid, min of {MEASURE_RUNS}): \
@@ -424,29 +353,8 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Acceptance guard: parallel plan construction >= 2x over serial on
-    // the 200k+ rungs — physically impossible on small hosts, so gated.
-    for r in &results[1..] {
-        if host_cpus() >= 4 {
-            assert!(
-                r.plan_speedup() >= 2.0,
-                "acceptance criterion: parallel plan build must be >= 2x over serial \
-                 on the {} rung on a >= 4-CPU host (got {:.2}x on {} CPUs)",
-                r.name,
-                r.plan_speedup(),
-                host_cpus()
-            );
-        } else {
-            blog!(
-                "  (skipping parallel-build >= 2x assertion on {} rung: host has {} CPU(s))",
-                r.name,
-                host_cpus()
-            );
-        }
-    }
-
     // Anomaly guard (min-of-N fix): on the 200k+ rungs a warm pass
-    // skips plan construction and artifact publication entirely, so the
+    // skips arena compilation and artifact publication entirely, so the
     // noise-floor estimate must come out no slower than cold.
     for r in &results[1..] {
         assert!(
@@ -488,30 +396,24 @@ fn bench(c: &mut Criterion) {
 
     let rung_json = |r: &RungResult| {
         format!(
-            "{{\n      \"gates\": {},\n      \"faults\": {},\n      \"planned_roots\": {},\n      \
+            "{{\n      \"gates\": {},\n      \"faults\": {},\n      \"walked\": {},\n      \
              \"coverage\": {:.4},\n      \"seconds\": {{\n        \"generate\": {:.6},\n        \
              \"levelize\": {:.6},\n        \"compile\": {:.6},\n        \"collapse\": {:.6},\n        \
-             \"plan_serial\": {:.6},\n        \"plan_parallel\": {:.6},\n        \
-             \"plan_reload\": {:.6},\n        \"campaign_cold\": {:.6},\n        \
+             \"campaign_cold\": {:.6},\n        \
              \"campaign_warm\": {:.6}\n      }},\n      \"exec\": {{\n        \
              \"golden_sweep\": {:.6},\n        \
              \"golden_gate_order\": {:.6},\n        \
              \"sweep_speedup\": {:.2},\n        \
              \"campaign_warm_no_sweep\": {:.6},\n        \
-             \"campaign_ablation_speedup\": {:.2}\n      }},\n      \
-             \"plan_parallel_speedup\": {:.2},\n      \
-             \"plan_reload_speedup\": {:.2}\n    }}",
+             \"campaign_ablation_speedup\": {:.2}\n      }}\n    }}",
             r.gates,
             r.faults,
-            r.walk_len,
+            r.walked,
             r.coverage,
             r.t_generate,
             r.t_levelize,
             r.t_compile,
             r.t_collapse,
-            r.t_plan_serial,
-            r.t_plan_parallel,
-            r.t_plan_reload,
             r.t_campaign_cold,
             r.t_campaign_warm,
             r.t_golden_sweep,
@@ -519,8 +421,6 @@ fn bench(c: &mut Criterion) {
             r.sweep_speedup(),
             r.t_campaign_warm_no_sweep,
             r.ablation_speedup(),
-            r.plan_speedup(),
-            r.reload_speedup(),
         )
     };
     let rungs: Vec<String> = results
@@ -546,20 +446,13 @@ fn bench(c: &mut Criterion) {
         blog!("  wrote {path}");
     }
 
-    // Criterion entry on the 50k rung's plan construction only (the
-    // bigger rungs would push CI wall-clock past its budget).
-    let rung = &ladder[0];
-    let net = rung.build();
-    let (lev, _) = renumber::levelized(&net);
+    // Criterion entry on the 50k rung's detection setup only — the one
+    // PO-reachability sweep a campaign runs (the bigger rungs would push
+    // CI wall-clock past its budget).
+    let (lev, _) = renumber::levelized(&ladder[0].build());
     let compiled = CompiledNetlist::new(&lev);
-    let faults = universe::stuck_at_universe(&lev);
-    let collapsed = collapse_with(&lev, &faults, workers);
-    let walk = walk_list_of(&compiled, &collapsed, &faults);
-    c.bench_function("e20_plan_build_50k_serial", |b| {
-        b.iter(|| std::hint::black_box(TracePlan::build(&compiled, &walk)))
-    });
-    c.bench_function("e20_plan_build_50k_parallel", |b| {
-        b.iter(|| std::hint::black_box(TracePlan::build_with(&compiled, &walk, workers)))
+    c.bench_function("e20_reachability_50k", |b| {
+        b.iter(|| std::hint::black_box(Detector::with_workers(&compiled, workers)))
     });
 }
 

@@ -1,17 +1,16 @@
 //! Content-addressed compiled-artifact cache.
 //!
 //! Durable campaigns ([`crate::store`]) already make *verdicts* resumable;
-//! at a million gates the remaining cold-start cost is *setup* — compiling
-//! the netlist arena and building campaign/trace plans, which is minutes of
-//! DFS before the first pattern simulates. This store persists those
-//! compiled artifacts keyed by content hash, so a repeat campaign on an
-//! unchanged design decodes its plans instead of rebuilding them.
+//! at a million gates the remaining cold-start cost is *setup* —
+//! compiling the netlist arena. This store persists compiled artifacts
+//! keyed by content hash, so a repeat campaign on an unchanged design
+//! decodes its arena instead of recompiling it.
 //!
 //! The store is deliberately dumb: opaque byte payloads under 128-bit
-//! [`ContentHash`] keys. The *meaning* of a payload (compiled netlist,
-//! campaign plan, trace plan) lives in the key's domain tag — e.g.
-//! `rescue.plan.v1` — chosen by the caller; this module only guarantees
-//! that what comes back is byte-identical to what went in, or nothing.
+//! [`ContentHash`] keys. The *meaning* of a payload lives in the key's
+//! domain tag — e.g. `rescue.compiled.v1` for a compiled netlist —
+//! chosen by the caller; this module only guarantees that what comes
+//! back is byte-identical to what went in, or nothing.
 //!
 //! Layout: `<root>/artifacts/<hash>.art`, one file per artifact, written
 //! via atomic rename. Each file wraps the payload in a small envelope

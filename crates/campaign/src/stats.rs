@@ -80,7 +80,7 @@ pub struct CampaignStats {
     pub chunks_stolen: u64,
     /// Walked faults resolved purely by critical-path tracing: their
     /// backward sensitization chain reaches a primary output or dies
-    /// without crossing a reconvergent stem, so no event-driven cone walk
+    /// without crossing a reconvergent stem, so no event-driven walk
     /// was ever needed for them. Zero for non-tracing engines.
     pub faults_traced: usize,
     /// Content-addressed work units in the campaign plan (0 for
@@ -194,7 +194,7 @@ impl CampaignStats {
     }
 
     /// Fraction of walked faults that critical-path tracing resolved
-    /// without a cone walk: `faults_traced / faults_walked`. Total: an
+    /// without an event walk: `faults_traced / faults_walked`. Total: an
     /// empty walk list (or a non-tracing engine over one) reports 0.0
     /// instead of dividing by zero, so no NaN escapes into throughput
     /// tables or BENCH JSONs.

@@ -176,11 +176,11 @@ impl HolisticFlow {
         };
         // 4. Fault simulation (verifies the ATPG stage end to end), on
         // the shared campaign driver so the report carries throughput.
-        // Wide-word front-end (4 limbs = 256 patterns per cone walk) over
-        // the collapsed universe with critical-path tracing: only
+        // Wide-word front-end (4 limbs = 256 patterns per event walk)
+        // over the collapsed universe with critical-path tracing: only
         // equivalence-class representatives are evaluated, most by
-        // backward sensitization chains, cone walks only at reconvergent
-        // stems. All three choices leave the verdicts bit-identical to
+        // backward sensitization chains, event walks only at
+        // reconvergent stems. All three choices leave the verdicts bit-identical to
         // the full-resimulation oracle.
         let driver = Campaign::new(seed, 1);
         let sim = FaultSimulator::new(design);

@@ -76,7 +76,7 @@ pub fn render_report(report: &FlowReport) -> String {
         }
         let _ = writeln!(s);
         // Per-phase execution breakdown from the `exec.*` telemetry
-        // histograms (golden simulation / cone walks / trace ascent).
+        // histograms (golden simulation / event walks / trace ascent).
         // Present only when telemetry recorded the packed engine.
         if !report.exec_phases.is_empty() {
             let _ = writeln!(s, "#### Execution phases (telemetry histograms)");

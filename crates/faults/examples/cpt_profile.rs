@@ -1,8 +1,7 @@
 //! Ad-hoc timing probe for the e17 big rung (not part of the test suite).
 use rescue_faults::collapse::collapse;
-use rescue_faults::engine::CampaignPlan;
+use rescue_faults::engine::Detector;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
-use rescue_faults::trace::TracePlan;
 use rescue_faults::universe;
 use rescue_netlist::generate;
 use std::time::Instant;
@@ -32,13 +31,15 @@ fn main() {
     let t = Instant::now();
     let collapsed = collapse(&net, &faults);
     println!("collapse: {:?}", t.elapsed());
-    // Reproduce the campaign's walk list.
-    let reachable = rescue_faults::engine::po_reachable(c);
+    // Reproduce the campaign's walk list and its only detection setup.
+    let t = Instant::now();
+    let det = Detector::new(c);
+    println!("Detector::new (reachability sweep): {:?}", t.elapsed());
     let mut slot = std::collections::HashMap::new();
     let mut walk = Vec::new();
     for &f in &faults {
         let rep = collapsed.representative(f);
-        if !reachable[rep.site().gate().index()] {
+        if !det.observable(rep.site().gate().index()) {
             continue;
         }
         slot.entry(rep).or_insert_with(|| {
@@ -48,25 +49,11 @@ fn main() {
     }
     println!("walk list: {} faults", walk.len());
     let t = Instant::now();
-    let plan = CampaignPlan::build(c, &walk);
-    println!("CampaignPlan::build(walk): {:?}", t.elapsed());
-    let sites: std::collections::HashSet<usize> =
-        walk.iter().map(|f| f.site().gate().index()).collect();
-    println!("distinct sites: {}", sites.len());
-    let mut cone_total = 0usize;
-    let mut obs_cone_total = 0usize;
-    for &s in &sites {
-        cone_total += plan.cone_of(s).unwrap().len();
-        obs_cone_total += plan.obs_cone_of(s).unwrap().len();
-    }
-    println!("cone gates total: {cone_total}, obs-restricted: {obs_cone_total}");
-    let t = Instant::now();
-    let tplan = TracePlan::build(c, &walk);
+    let traced = det.statically_traced(c, &walk);
     println!(
-        "TracePlan::build(walk): {:?} (stems {}, statically traced {})",
-        t.elapsed(),
-        tplan.stems(),
-        tplan.statically_traced()
+        "statically traced: {traced} of {} ({:?})",
+        walk.len(),
+        t.elapsed()
     );
     let driver = rescue_campaign::Campaign::new(0, 1);
     for (name, opts) in [

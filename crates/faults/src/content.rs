@@ -122,24 +122,6 @@ pub(crate) fn compiled_key_of(netlist: ContentHash) -> ContentHash {
     h.finish()
 }
 
-/// Artifact-cache key of a built campaign or trace plan: the compiled
-/// netlist, the exact walk list (order-sensitive — the cone CSR is
-/// indexed by walk position) and which plan family (`tracing`) it is.
-/// Worker count is deliberately absent: parallel builds are bit-identical
-/// to serial ones, so any worker count may reuse the artifact.
-pub fn plan_key(c: &CompiledNetlist, walk: &[Fault], tracing: bool) -> ContentHash {
-    plan_key_of(hash_netlist(c), walk, tracing)
-}
-
-/// [`plan_key`] from an already computed [`hash_netlist`] value.
-pub(crate) fn plan_key_of(netlist: ContentHash, walk: &[Fault], tracing: bool) -> ContentHash {
-    let mut h = CanonicalHasher::new("rescue.plan.v1");
-    h.write_u128(netlist.0);
-    h.write_u128(hash_faults(walk).0);
-    h.write_bool(tracing);
-    h.finish()
-}
-
 /// Content hash of a fault universe (order-sensitive: the verdict vector
 /// is indexed by fault position).
 pub fn hash_faults(faults: &[Fault]) -> ContentHash {
@@ -303,28 +285,6 @@ mod tests {
                 net.name()
             );
         }
-    }
-
-    #[test]
-    fn plan_key_ingredients() {
-        let net = generate::c17();
-        let c = CompiledNetlist::new(&net);
-        let faults = universe::stuck_at_universe(&net);
-        let base = plan_key(&c, &faults, false);
-        assert_eq!(base, plan_key(&c, &faults, false), "key must be stable");
-        assert_ne!(base, plan_key(&c, &faults, true), "tracing flag keys");
-        assert_ne!(
-            base,
-            plan_key(&c, &faults[..faults.len() - 1], false),
-            "walk list keys"
-        );
-        let other = CompiledNetlist::new(&generate::adder(4));
-        assert_ne!(base, plan_key(&other, &faults, false), "netlist keys");
-        assert_ne!(
-            base,
-            compiled_key(&net),
-            "plan and compiled artifacts live in different key domains"
-        );
     }
 
     #[test]

@@ -1,107 +1,72 @@
-//! Incremental single-fault propagation over the compiled arena.
+//! Event-driven single-fault propagation over the compiled arena.
 //!
 //! The hot path of every stuck-at campaign is "given the chunk's golden
 //! words, which patterns see this fault at an output?". The classic
 //! answer re-simulates the whole netlist per fault (the oracle in
 //! [`crate::reference`]); this engine instead:
 //!
-//! 1. **memoizes the combinational fanout cone** of each fault site in a
-//!    [`CampaignPlan`] (sa0/sa1 at the same site share one cone, stored
-//!    as a flat CSR sorted by topological position, root excluded);
-//! 2. **flips** the site over a scratch value array that equals the
+//! 1. **flips** the fault site over a scratch value array that equals the
 //!    chunk's golden words everywhere;
-//! 3. **resimulates only the cone**, in levelized order, tracking the
-//!    largest topological position any fault effect can still reach
-//!    (the *event horizon*) and breaking out as soon as the walk passes
-//!    it — the event-driven early exit;
+//! 2. **propagates events by level**: every combinational (non-DFF)
+//!    fanout of a gate whose value changed is pushed into a per-level
+//!    bucket held in the scratch ([`WideScratch`]), deduplicated by an
+//!    event stamp, and the buckets are evaluated upward from the site's
+//!    level. A gate is evaluated only after every fanin at a lower level
+//!    settled, so it reads final values, and only gates with a changed
+//!    fanin are ever evaluated;
+//! 3. **stops** when no event is pending, or when every lane has already
+//!    reached an output;
 //! 4. **undoes** its writes through a touched list, so the scratch array
 //!    is golden again without an `O(gates)` copy or a fresh allocation.
 //!
-//! Verdicts are bit-identical to full resimulation: gates outside the
-//! combinational fanout cone cannot change (DFF outputs hold 0 in packed
-//! word evaluation, so effects never cross a sequential edge within a
-//! chunk), and cone gates are evaluated with the same kernels in the
-//! same order.
+//! Nothing is precomputed per fault site: the walk costs O(events), not
+//! O(cone), and a campaign's only setup is one O(gates + edges)
+//! PO-reachability sweep ([`Detector`]). Verdicts are bit-identical to
+//! full resimulation: gates outside the combinational fanout cone cannot
+//! change (DFF outputs hold 0 in packed word evaluation, so events stop
+//! at DFF `D`-pins within a chunk), and changed gates are evaluated with
+//! the same kernels in a topological order.
 //!
-//! # PPSFP: one walk per site, event-driven
+//! # PPSFP: one walk per site
 //!
-//! [`CampaignPlan::detect_packed`] is the parallel-pattern single-fault
+//! [`Detector::detect_packed`] is the parallel-pattern single-fault
 //! propagation (PPSFP, Waicukauski et al. 1985) detection path, built on
-//! three exact reductions:
+//! two exact reductions:
 //!
 //! * **Observability factoring** — bit lanes of word evaluation never
-//!   interact, so one walk with the root *flipped on all 64 lanes*
-//!   computes, per lane, whether a root flip reaches a primary output
-//!   (the observability word `O`). Every stuck-at fault at the site is
-//!   then `O & excitation`, where the excitation word (lanes on which
-//!   the fault actually flips the root) is one gate evaluation at most.
+//!   interact, so one walk with the root *flipped on all lanes* computes,
+//!   per lane, whether a root flip reaches a primary output (the
+//!   observability word `O`). Every stuck-at fault at the site is then
+//!   `O & excitation`, where the excitation word (lanes on which the
+//!   fault actually flips the root) is one gate evaluation at most.
 //!   sa0, sa1 and all pin faults of a site share a single walk.
-//! * **Event-driven walk** — the walk stamps the fanout of each changed
-//!   gate and skips unstamped cone members in O(1) instead of
-//!   re-evaluating them (on large cones almost all evaluations are
-//!   skipped: typical walks change ~a dozen gates in a 500-gate cone).
-//! * **Static observability pruning** — a site whose cone contains no
-//!   primary output can never be detected; its faults are answered with
-//!   `0` without any walk ([`CampaignPlan::observable`]). The same
-//!   reverse-topological PO-reachability sweep also restricts every
-//!   walk order to PO-reachable cone members
-//!   ([`CampaignPlan::obs_cone_of`]): gates that cannot reach an output
-//!   cannot feed one either, so the walk never visits them.
+//! * **Static observability pruning** — a site from which no primary
+//!   output is reachable can never be detected; its faults are answered
+//!   with `0` without any walk ([`Detector::observable`]). The same
+//!   reverse-topological sweep restricts every packed walk to
+//!   PO-reachable gates: a gate that cannot reach an output cannot feed
+//!   one either, so events never enter it.
+//!
+//! [`detect_observed`] runs the same propagation unrestricted, observing
+//! two arbitrary gate groups instead of the primary outputs.
 //!
 //! Equivalence with the full-resimulation oracle
 //! ([`crate::reference::ReferenceFaultSimulator`]) is enforced by
 //! property tests in `tests/ppsfp_equivalence.rs`.
 
-use crate::error::FaultError;
 use crate::model::{Fault, FaultSite};
 use rescue_netlist::GateKind;
-use rescue_sim::codec::{put_bits, put_u32s, take_bits, take_u32s};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::SimWord;
-use rescue_telemetry::{metrics, span};
+use rescue_telemetry::metrics;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
-use std::time::Instant;
-
-/// Memoized per-site fanout cones for one campaign's fault list.
-///
-/// Built once per campaign ([`CampaignPlan::build`]) and shared read-only
-/// by all workers; the per-fault state lives in [`FaultScratch`].
-///
-/// `PartialEq` compares every CSR byte-for-byte — the equivalence
-/// proptests use it to pin parallel and cache-reloaded builds to the
-/// serial construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignPlan {
-    /// Per gate: index into `cone_offsets`, `u32::MAX` when the gate is
-    /// not a fault-site root in this plan.
-    cone_index: Vec<u32>,
-    cone_offsets: Vec<u32>,
-    /// Concatenated cones, each sorted by topological position and
-    /// excluding its root.
-    cone_gates: Vec<u32>,
-    /// Per gate: whether the gate's combinational fanout cone (or the
-    /// gate itself) contains a primary output — computed for every gate
-    /// in one reverse-topological sweep at build time.
-    observable: Vec<bool>,
-    /// Concatenated PO-reachable restrictions of the cones: the members
-    /// `m` with `observable[m]`, same order and indexing as
-    /// `cone_offsets`. Only these gates can influence a primary output,
-    /// so the packed observability walk evaluates nothing else.
-    obs_cone_offsets: Vec<u32>,
-    obs_cone_gates: Vec<u32>,
-}
 
 /// PO-reachability for every gate in one reverse-topological sweep: a
 /// gate is reachable when it drives a primary output or any non-DFF
 /// fanout is reachable. Sources (Input/Dff outputs) sit outside
 /// eval_order and close the pass — their fanouts are combinational gates
 /// the sweep already settled.
-///
-/// This is the same O(gates + edges) sweep [`CampaignPlan::build`] runs;
-/// exposed standalone so campaign front-ends can prefilter a fault list
-/// (e.g. collapsed-universe representatives) *before* paying for cone
-/// construction.
 pub fn po_reachable(compiled: &CompiledNetlist) -> Vec<bool> {
     let n = compiled.len();
     let mut reachable = vec![false; n];
@@ -199,438 +164,38 @@ pub fn po_reachable_with(compiled: &CompiledNetlist, workers: usize) -> Vec<bool
     reachable.into_iter().map(AtomicBool::into_inner).collect()
 }
 
-/// Maximum cone entries a plan's `u32` offset arena can address.
-pub const MAX_PLAN_ENTRIES: usize = u32::MAX as usize;
-
-/// Checks that `entries` cone-CSR entries fit the `u32` offset arena,
-/// so million-gate plans fail loudly instead of truncating offsets.
-///
-/// # Errors
-///
-/// Returns [`FaultError::PlanTooLarge`] when `entries` exceeds
-/// [`MAX_PLAN_ENTRIES`].
-pub fn ensure_plan_capacity(entries: usize) -> Result<(), FaultError> {
-    if entries > MAX_PLAN_ENTRIES {
-        Err(FaultError::PlanTooLarge {
-            entries,
-            limit: MAX_PLAN_ENTRIES,
-        })
-    } else {
-        Ok(())
-    }
+/// The packed detection engine of one design: its per-gate
+/// PO-reachability bits, computed once per campaign and shared read-only
+/// by all workers (the per-fault state lives in [`WideScratch`]). Any
+/// fault site of the design can be queried; nothing depends on a fault
+/// list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Detector {
+    /// Per gate: whether the gate drives a primary output or reaches one
+    /// through combinational fanout.
+    observable: Vec<bool>,
 }
 
-/// Version byte of the [`CampaignPlan::to_bytes`] wire format.
-const PLAN_WIRE_VERSION: u8 = 1;
-
-/// Per-worker DFS buffers for cone construction.
-struct ConeScratch {
-    seen: Vec<bool>,
-    stack: Vec<u32>,
-    members: Vec<u32>,
-}
-
-/// One worker's contiguous share of the cone CSRs: entries concatenated
-/// in root order with *relative* end offsets, stitched into absolute
-/// offsets by the (deterministic) reassembly pass.
-struct ConeChunk {
-    gates: Vec<u32>,
-    ends: Vec<u64>,
-    obs_gates: Vec<u32>,
-    obs_ends: Vec<u64>,
-    /// Cone sizes in root order, for the `fault.cone_size` histogram.
-    sizes: Vec<u64>,
-}
-
-/// Collects the (sorted, root-excluded) cone members of `root` into
-/// `keyed` as packed `(topo_pos << 32) | gate` keys. `restricted`
-/// confines the DFS to PO-reachable fanout edges and yields an empty
-/// cone for unobservable roots, exactly like the serial
-/// `build_observable` loop.
-fn cone_members_sorted(
-    compiled: &CompiledNetlist,
-    observable: &[bool],
-    restricted: bool,
-    root: usize,
-    scratch: &mut ConeScratch,
-    keyed: &mut Vec<u64>,
-) {
-    keyed.clear();
-    if restricted && !observable[root] {
-        return;
+impl Detector {
+    /// The detector of `compiled` (one serial reachability sweep).
+    pub fn new(compiled: &CompiledNetlist) -> Self {
+        Self::with_workers(compiled, 1)
     }
-    let ConeScratch {
-        seen,
-        stack,
-        members,
-    } = scratch;
-    // DFS over combinational fanout edges; DFF consumers hold state, so
-    // fault effects stop at the D-pin within a chunk.
-    seen[root] = true;
-    stack.push(root as u32);
-    while let Some(g) = stack.pop() {
-        for &s in compiled.fanout_of(g as usize) {
-            let si = s as usize;
-            if seen[si] || compiled.kind(si) == GateKind::Dff || (restricted && !observable[si]) {
-                continue;
-            }
-            seen[si] = true;
-            stack.push(s);
-            members.push(s);
+
+    /// [`Detector::new`] with the reachability sweep sharded across
+    /// `workers` threads ([`po_reachable_with`]); identical for any
+    /// worker count.
+    pub fn with_workers(compiled: &CompiledNetlist, workers: usize) -> Self {
+        Detector {
+            observable: po_reachable_with(compiled, workers),
         }
     }
-    // Kahn order enqueues a gate only after all combinational
-    // predecessors, so every cone member sits after the root; sorting by
-    // position yields a valid evaluation order. Packed (position, gate)
-    // keys cost one topo_pos load per element instead of one per
-    // comparison.
-    keyed.extend(
-        members
-            .iter()
-            .map(|&g| ((compiled.topo_pos(g as usize) as u64) << 32) | g as u64),
-    );
-    keyed.sort_unstable();
-    seen[root] = false;
-    for &m in members.iter() {
-        seen[m as usize] = false;
-    }
-    members.clear();
-}
 
-/// Builds the cone CSR share for a contiguous slice of plan roots.
-fn build_cone_chunk(
-    compiled: &CompiledNetlist,
-    observable: &[bool],
-    restricted: bool,
-    roots: &[u32],
-) -> ConeChunk {
-    let mut scratch = ConeScratch {
-        seen: vec![false; compiled.len()],
-        stack: Vec::new(),
-        members: Vec::new(),
-    };
-    let mut keyed: Vec<u64> = Vec::new();
-    let mut chunk = ConeChunk {
-        gates: Vec::new(),
-        ends: Vec::with_capacity(roots.len()),
-        obs_gates: Vec::new(),
-        obs_ends: Vec::with_capacity(roots.len()),
-        sizes: Vec::with_capacity(roots.len()),
-    };
-    for &root in roots {
-        cone_members_sorted(
-            compiled,
-            observable,
-            restricted,
-            root as usize,
-            &mut scratch,
-            &mut keyed,
-        );
-        chunk.sizes.push(keyed.len() as u64);
-        chunk.gates.extend(keyed.iter().map(|&k| k as u32));
-        chunk.ends.push(chunk.gates.len() as u64);
-        if restricted {
-            // Both CSRs alias the restriction (see `build_observable`).
-            chunk.obs_gates.extend(keyed.iter().map(|&k| k as u32));
-        } else {
-            // PO-reachable restriction: unobservable gates feed only
-            // unobservable gates (an edge into an observable gate would
-            // make its source observable), so dropping them from the
-            // walk order changes no observable gate's value.
-            chunk.obs_gates.extend(
-                keyed
-                    .iter()
-                    .map(|&k| k as u32)
-                    .filter(|&g| observable[g as usize]),
-            );
-        }
-        chunk.obs_ends.push(chunk.obs_gates.len() as u64);
-    }
-    chunk
-}
-
-/// Shared core of the serial and parallel plan builds.
-///
-/// A serial dedup pass fixes the root order (first appearance in the
-/// fault list) and with it every CSR offset; workers then fill in cone
-/// contents for contiguous root shards, and chunks concatenate back in
-/// root order — so the result is byte-identical to the `workers == 1`
-/// build for any worker count.
-fn build_plan_impl(
-    compiled: &CompiledNetlist,
-    faults: &[Fault],
-    workers: usize,
-    restricted: bool,
-) -> Result<CampaignPlan, FaultError> {
-    let w = workers.max(1);
-    let _span = span!("plan.build", faults = faults.len());
-    let t0 = Instant::now();
-    let n = compiled.len();
-    let observable = po_reachable_with(compiled, w);
-    let mut cone_index = vec![u32::MAX; n];
-    let mut roots: Vec<u32> = Vec::new();
-    for fault in faults {
-        let root = fault.site().gate().index();
-        if cone_index[root] != u32::MAX {
-            continue; // sa0/sa1 (and pin faults) at one gate share a cone
-        }
-        cone_index[root] = roots.len() as u32;
-        roots.push(root as u32);
-    }
-    let shards = w.min(roots.len()).max(1);
-    let chunk_len = roots.len().div_ceil(shards).max(1);
-    let chunks: Vec<ConeChunk> = if shards == 1 {
-        vec![build_cone_chunk(compiled, &observable, restricted, &roots)]
-    } else {
-        let observable = &observable;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = roots
-                .chunks(chunk_len)
-                .map(|slice| {
-                    s.spawn(move || build_cone_chunk(compiled, observable, restricted, slice))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("plan build worker panicked"))
-                .collect()
-        })
-    };
-    let total: usize = chunks.iter().map(|c| c.gates.len()).sum();
-    let obs_total: usize = chunks.iter().map(|c| c.obs_gates.len()).sum();
-    ensure_plan_capacity(total)?;
-    ensure_plan_capacity(obs_total)?;
-    let mut plan = CampaignPlan {
-        cone_index,
-        cone_offsets: Vec::with_capacity(roots.len() + 1),
-        cone_gates: Vec::with_capacity(total),
-        observable,
-        obs_cone_offsets: Vec::with_capacity(roots.len() + 1),
-        obs_cone_gates: Vec::with_capacity(obs_total),
-    };
-    plan.cone_offsets.push(0);
-    plan.obs_cone_offsets.push(0);
-    // Cone sizes feed the `fault.cone_size` histogram: build is cold
-    // (once per campaign), so recording per cone here costs nothing on
-    // the per-fault hot path.
-    let cone_hist = rescue_telemetry::enabled()
-        .then(|| metrics::histogram("fault.cone_size", &metrics::pow2_bounds(16)));
-    for chunk in &chunks {
-        let base = plan.cone_gates.len() as u64;
-        for &end in &chunk.ends {
-            plan.cone_offsets.push((base + end) as u32);
-        }
-        plan.cone_gates.extend_from_slice(&chunk.gates);
-        let obs_base = plan.obs_cone_gates.len() as u64;
-        for &end in &chunk.obs_ends {
-            plan.obs_cone_offsets.push((obs_base + end) as u32);
-        }
-        plan.obs_cone_gates.extend_from_slice(&chunk.obs_gates);
-        if let Some(hist) = &cone_hist {
-            for &sz in &chunk.sizes {
-                hist.record(sz);
-            }
-        }
-    }
-    if rescue_telemetry::enabled() {
-        metrics::histogram("plan.build_ms", &metrics::pow2_bounds(16))
-            .record(t0.elapsed().as_millis() as u64);
-    }
-    Ok(plan)
-}
-
-impl CampaignPlan {
-    /// Computes (and deduplicates) the combinational fanout cone of every
-    /// fault site in `faults`.
-    pub fn build(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
-        Self::build_with(compiled, faults, 1)
-    }
-
-    /// [`CampaignPlan::build`] sharded across `workers` threads.
-    ///
-    /// Bit-identical to the serial build for any worker count: a serial
-    /// dedup pass fixes the root order, workers build cones for
-    /// contiguous root shards, and shards concatenate back in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan exceeds its `u32` offset capacity (use
-    /// [`CampaignPlan::try_build_with`] for the typed error).
-    pub fn build_with(compiled: &CompiledNetlist, faults: &[Fault], workers: usize) -> Self {
-        Self::try_build_with(compiled, faults, workers).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`CampaignPlan::build_with`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::PlanTooLarge`] when the cone CSR outgrows its `u32`
-    /// offset arena.
-    pub fn try_build_with(
-        compiled: &CompiledNetlist,
-        faults: &[Fault],
-        workers: usize,
-    ) -> Result<Self, FaultError> {
-        build_plan_impl(compiled, faults, workers, false)
-    }
-
-    /// [`CampaignPlan::build`] restricted to the PO-reachable region:
-    /// cones are discovered by DFS over *observable* fanout edges only,
-    /// so a site buried in a large structurally-dead region costs
-    /// nothing, and the full-cone CSR is never materialized (on a 50k
-    /// gate design with few outputs the full cones run to tens of
-    /// millions of entries while the observable restriction is a few
-    /// tens of thousands — the difference dominates campaign setup).
-    ///
-    /// Exact for the packed paths: the restricted DFS reaches exactly
-    /// the observable members of the full cone (every vertex on a path
-    /// from the root to an observable gate is itself observable), which
-    /// is precisely the set [`CampaignPlan::obs_cone_of`] walks. Both
-    /// cone CSRs alias the restriction, so [`CampaignPlan::cone_of`]
-    /// then reports the restriction, not the full cone; observers off
-    /// the primary outputs ([`CampaignPlan::detect_observed`]) need a
-    /// plan from [`CampaignPlan::build`].
-    ///
-    /// Unobservable roots are planned with an empty cone (their faults
-    /// answer `0` through the [`CampaignPlan::observable`] prefilter,
-    /// identical to [`CampaignPlan::build`]).
-    pub fn build_observable(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
-        Self::build_observable_with(compiled, faults, 1)
-    }
-
-    /// [`CampaignPlan::build_observable`] sharded across `workers`
-    /// threads; bit-identical to the serial build for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan exceeds its `u32` offset capacity (use
-    /// [`CampaignPlan::try_build_observable_with`] for the typed error).
-    pub fn build_observable_with(
-        compiled: &CompiledNetlist,
-        faults: &[Fault],
-        workers: usize,
-    ) -> Self {
-        Self::try_build_observable_with(compiled, faults, workers).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`CampaignPlan::build_observable_with`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::PlanTooLarge`] when the cone CSR outgrows its `u32`
-    /// offset arena.
-    pub fn try_build_observable_with(
-        compiled: &CompiledNetlist,
-        faults: &[Fault],
-        workers: usize,
-    ) -> Result<Self, FaultError> {
-        build_plan_impl(compiled, faults, workers, true)
-    }
-
-    /// Serializes the plan for the compiled-artifact cache
-    /// (little-endian, versioned; see `rescue_sim::codec`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(
-            32 + 4 * (self.cone_index.len() + self.cone_gates.len() + self.obs_cone_gates.len()),
-        );
-        buf.push(PLAN_WIRE_VERSION);
-        put_u32s(&mut buf, &self.cone_index);
-        put_u32s(&mut buf, &self.cone_offsets);
-        put_u32s(&mut buf, &self.cone_gates);
-        put_u32s(&mut buf, &self.obs_cone_offsets);
-        put_u32s(&mut buf, &self.obs_cone_gates);
-        put_bits(&mut buf, &self.observable);
-        buf
-    }
-
-    /// Deserializes [`CampaignPlan::to_bytes`] output. Returns `None` on
-    /// version mismatch or malformed input — a corrupt cache entry must
-    /// fall back to rebuilding, never panic.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut off = 0usize;
-        if *bytes.get(off)? != PLAN_WIRE_VERSION {
-            return None;
-        }
-        off += 1;
-        let cone_index = take_u32s(bytes, &mut off)?;
-        let cone_offsets = take_u32s(bytes, &mut off)?;
-        let cone_gates = take_u32s(bytes, &mut off)?;
-        let obs_cone_offsets = take_u32s(bytes, &mut off)?;
-        let obs_cone_gates = take_u32s(bytes, &mut off)?;
-        let observable = take_bits(bytes, &mut off)?;
-        let shape_ok = off == bytes.len()
-            && observable.len() == cone_index.len()
-            && !cone_offsets.is_empty()
-            && cone_offsets.len() == obs_cone_offsets.len()
-            && *cone_offsets.last()? as usize == cone_gates.len()
-            && *obs_cone_offsets.last()? as usize == obs_cone_gates.len();
-        if !shape_ok {
-            return None;
-        }
-        Some(CampaignPlan {
-            cone_index,
-            cone_offsets,
-            cone_gates,
-            observable,
-            obs_cone_offsets,
-            obs_cone_gates,
-        })
-    }
-
-    /// The memoized cone (topo-sorted, root excluded) for the site rooted
-    /// at gate `root`, or `None` when `root` was not in the fault list.
-    pub fn cone_of(&self, root: usize) -> Option<&[u32]> {
-        let idx = self.cone_index[root];
-        if idx == u32::MAX {
-            return None;
-        }
-        let lo = self.cone_offsets[idx as usize] as usize;
-        let hi = self.cone_offsets[idx as usize + 1] as usize;
-        Some(&self.cone_gates[lo..hi])
-    }
-
-    /// The PO-reachable restriction of [`CampaignPlan::cone_of`]: the
-    /// cone members whose own fanout cone contains a primary output, in
-    /// the same topological order. Unobservable gates feed only
-    /// unobservable gates, so resimulating just this subsequence yields
-    /// the same values on every member it contains as the full cone walk
-    /// — it is the exact gate set the packed observability walk visits.
-    pub fn obs_cone_of(&self, root: usize) -> Option<&[u32]> {
-        let idx = self.cone_index[root];
-        if idx == u32::MAX {
-            return None;
-        }
-        let lo = self.obs_cone_offsets[idx as usize] as usize;
-        let hi = self.obs_cone_offsets[idx as usize + 1] as usize;
-        Some(&self.obs_cone_gates[lo..hi])
-    }
-
-    /// Whether `root`'s combinational fanout cone (or `root` itself)
-    /// contains a primary output. Faults at unobservable sites can never
-    /// be detected, so the packed path answers them without a walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `root` was not a fault-site root of this plan.
+    /// Whether gate `g` drives a primary output or reaches one through
+    /// combinational fanout. Faults at unobservable sites can never be
+    /// detected, so the packed paths answer them without a walk.
     #[inline]
-    pub fn observable(&self, root: usize) -> bool {
-        assert!(self.planned(root), "fault root missing from campaign plan");
-        self.observable[root]
-    }
-
-    /// Whether gate `root` is a fault-site root this plan memoized a
-    /// cone for. The packed detection paths report an unplanned root as
-    /// [`FaultError::UnplannedSite`] instead of panicking.
-    #[inline]
-    pub fn planned(&self, root: usize) -> bool {
-        self.cone_index[root] != u32::MAX
-    }
-
-    /// The PO-reachability verdict of *any* gate (computed for the whole
-    /// design at build time, so unlike [`CampaignPlan::observable`] it
-    /// does not require `g` to be a plan root).
-    #[inline]
-    pub fn po_reachable_gate(&self, g: usize) -> bool {
+    pub fn observable(&self, g: usize) -> bool {
         self.observable[g]
     }
 
@@ -647,110 +212,56 @@ impl CampaignPlan {
         golden: &[Wd],
         fault: Fault,
     ) -> Wd {
-        let stuck = fault
-            .kind()
-            .stuck_value()
-            .expect("stuck-at campaign requires stuck-at faults");
-        let word = Wd::splat(stuck);
-        let root = fault.site().gate().index();
-        let fault_value = match fault.site() {
-            FaultSite::Output(_) => word,
-            FaultSite::Pin { pin, .. } => match compiled.kind(root) {
-                GateKind::Input | GateKind::Dff => golden[root],
-                _ => compiled.eval_word_pin_forced(root, golden, pin, word),
-            },
-        };
-        fault_value ^ golden[root]
+        fault_value(compiled, golden, fault) ^ golden[fault.site().gate().index()]
     }
 
     /// Observability word of `root` over the chunk whose golden values
     /// are `golden`: bit `p` is set iff flipping `root`'s value on
     /// pattern `p` changes at least one primary output on pattern `p`.
     ///
-    /// One event-driven walk over the **PO-reachable restriction** of
-    /// the cone with the root flipped on **all 64 lanes**: because word
-    /// evaluation is bitwise, lane `p` of every downstream gate equals a
-    /// per-pattern resimulation with the root flipped on pattern `p`
-    /// alone — so a single walk yields all 64 per-pattern
-    /// observabilities at once. Unobservable cone members cannot touch a
-    /// primary output and are never visited; among the rest, the walk
-    /// stamps the observable fanouts of changed gates and skips
-    /// unstamped members in O(1). Once every lane has reached an output
-    /// (`mask == !0`) the walk stops early — the mask can only grow.
-    /// `scratch.val` must equal `golden` on entry and is restored before
-    /// returning.
+    /// One event-driven walk with the root flipped on **all lanes**:
+    /// because word evaluation is bitwise, lane `p` of every downstream
+    /// gate equals a per-pattern resimulation with the root flipped on
+    /// pattern `p` alone — so a single walk yields every per-pattern
+    /// observability at once. Events enter PO-reachable gates only. Once
+    /// every lane has reached an output (`mask == ONES`) the walk stops
+    /// early — the mask can only grow. `scratch.val` must equal `golden`
+    /// on entry and is restored before returning.
     ///
     /// The result is cached in the scratch per `(chunk, root)`, so all
     /// faults of one site share one walk within a chunk.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::UnplannedSite`] when `root` was not a fault-site
-    /// root of this plan (no memoized cone to walk).
     pub fn observability_packed<Wd: SimWord>(
         &self,
         compiled: &CompiledNetlist,
         golden: &[Wd],
         scratch: &mut WideScratch<Wd>,
         root: usize,
-    ) -> Result<Wd, FaultError> {
+    ) -> Wd {
         if scratch.obs_root == root as u32 {
             scratch.counters.obs_cache_hits += 1;
-            return Ok(scratch.obs_word);
+            return scratch.obs_word;
         }
-        let cone = self
-            .obs_cone_of(root)
-            .ok_or(FaultError::UnplannedSite { gate: root })?;
-        let id = scratch.next_walk_id();
-        let mut mask = if compiled.is_po(root) {
-            Wd::ONES
-        } else {
-            Wd::ZERO
-        };
-        scratch.val[root] = !golden[root];
-        scratch.touched.push(root as u32);
-        let mut horizon = 0u32;
-        for &s in compiled.fanout_of(root) {
-            if self.observable[s as usize] {
-                scratch.stamp[s as usize] = id;
-                horizon = horizon.max(compiled.topo_pos(s as usize));
-            }
-        }
-        for &g in cone {
-            let gi = g as usize;
-            if mask == Wd::ONES || compiled.topo_pos(gi) > horizon {
-                // Every lane already detected, or the event frontier
-                // died: nothing further can change the mask.
-                scratch.counters.horizon_exits += 1;
-                break;
-            }
-            if scratch.stamp[gi] != id {
-                // No fanin of this cone member changed: its value is
-                // golden without evaluating it.
-                scratch.counters.stamp_skips += 1;
-                continue;
-            }
-            let v = compiled.eval_word(gi, &scratch.val);
-            if v == golden[gi] {
-                continue;
-            }
-            scratch.val[gi] = v;
-            scratch.touched.push(g);
-            if compiled.is_po(gi) {
-                mask |= v ^ golden[gi];
-            }
-            for &s in compiled.fanout_of(gi) {
-                if self.observable[s as usize] {
-                    scratch.stamp[s as usize] = id;
-                    horizon = horizon.max(compiled.topo_pos(s as usize));
+        let mut mask = Wd::ZERO;
+        scratch.propagate(
+            compiled,
+            golden,
+            root,
+            !golden[root],
+            |s| {
+                (self.observable[s] && compiled.kind(s) != GateKind::Dff)
+                    .then(|| compiled.level(s) as usize)
+            },
+            |g, diff| {
+                if compiled.is_po(g) {
+                    mask |= diff;
                 }
-            }
-        }
-        scratch.undo(golden);
+                mask == Wd::ONES
+            },
+        );
         scratch.counters.obs_walks += 1;
         scratch.obs_root = root as u32;
         scratch.obs_word = mask;
-        Ok(mask)
+        mask
     }
 
     /// PPSFP detection mask of `fault` over the chunk whose golden
@@ -770,11 +281,6 @@ impl CampaignPlan {
     /// [`WideScratch::load_golden`] once per chunk) and is golden again
     /// on return.
     ///
-    /// # Errors
-    ///
-    /// [`FaultError::UnplannedSite`] when the fault's root has no
-    /// memoized cone in this plan.
-    ///
     /// # Panics
     ///
     /// Panics on non-stuck-at kinds.
@@ -784,28 +290,48 @@ impl CampaignPlan {
         golden: &[Wd],
         scratch: &mut WideScratch<Wd>,
         fault: Fault,
-    ) -> Result<Wd, FaultError> {
+    ) -> Wd {
         scratch.counters.faults_evaluated += 1;
         let root = fault.site().gate().index();
-        if !self.planned(root) {
-            return Err(FaultError::UnplannedSite { gate: root });
-        }
         if !self.observable[root] {
-            return Ok(Wd::ZERO);
+            return Wd::ZERO;
         }
         let excitation = Self::excitation_word(compiled, golden, fault);
         if excitation.is_zero() {
-            return Ok(Wd::ZERO); // not excited on any pattern of this chunk
+            return Wd::ZERO; // not excited on any pattern of this chunk
         }
         scratch.counters.excitations += 1;
-        Ok(self.observability_packed(compiled, golden, scratch, root)? & excitation)
+        self.observability_packed(compiled, golden, scratch, root) & excitation
+    }
+}
+
+/// The value `fault` forces on its root gate's output over the chunk
+/// whose golden values are `golden`.
+///
+/// # Panics
+///
+/// Panics on non-stuck-at kinds.
+#[inline]
+fn fault_value<Wd: SimWord>(compiled: &CompiledNetlist, golden: &[Wd], fault: Fault) -> Wd {
+    let stuck = fault
+        .kind()
+        .stuck_value()
+        .expect("stuck-at campaign requires stuck-at faults");
+    let word = Wd::splat(stuck);
+    let root = fault.site().gate().index();
+    match fault.site() {
+        FaultSite::Output(_) => word,
+        FaultSite::Pin { pin, .. } => match compiled.kind(root) {
+            GateKind::Input | GateKind::Dff => golden[root],
+            _ => compiled.eval_word_pin_forced(root, golden, pin, word),
+        },
     }
 }
 
 /// Two observer sets over the gate array, e.g. functional outputs vs
 /// checker outputs in an ISO 26262 classification campaign.
 ///
-/// Stored as a per-gate 2-bit membership map so the cone walk tests
+/// Stored as a per-gate 2-bit membership map so the walk tests
 /// membership in O(1) without hashing.
 #[derive(Debug, Clone)]
 pub struct ObserverGroups {
@@ -832,87 +358,55 @@ impl ObserverGroups {
     }
 }
 
-impl CampaignPlan {
-    /// Detection of `fault` by incremental cone resimulation, observed at
-    /// two arbitrary gate sets instead of the primary outputs: returns
-    /// `(group_a_mask, group_b_mask)` — the patterns on which the fault
-    /// effect differs from golden at any gate of the respective group.
-    ///
-    /// Verdicts are bit-identical to diffing a full faulty resimulation
-    /// against golden at the observer gates (the classification oracle):
-    /// gates outside the combinational fanout cone keep their golden
-    /// value, so only cone members (and the root) can contribute.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-stuck-at kinds and on roots absent from the plan.
-    pub fn detect_observed<Wd: SimWord>(
-        &self,
-        compiled: &CompiledNetlist,
-        golden: &[Wd],
-        scratch: &mut WideScratch<Wd>,
-        fault: Fault,
-        observers: &ObserverGroups,
-    ) -> (Wd, Wd) {
-        let stuck = fault
-            .kind()
-            .stuck_value()
-            .expect("stuck-at campaign requires stuck-at faults");
-        let word = Wd::splat(stuck);
-        let root = fault.site().gate().index();
-        let fault_value = match fault.site() {
-            FaultSite::Output(_) => word,
-            FaultSite::Pin { pin, .. } => match compiled.kind(root) {
-                GateKind::Input | GateKind::Dff => golden[root],
-                _ => compiled.eval_word_pin_forced(root, &scratch.val, pin, word),
-            },
-        };
-        scratch.counters.faults_evaluated += 1;
-        if fault_value == golden[root] {
-            return (Wd::ZERO, Wd::ZERO);
-        }
-        scratch.counters.excitations += 1;
-
-        let mut mask_a = Wd::ZERO;
-        let mut mask_b = Wd::ZERO;
-        let mut observe = |m: u8, diff: Wd| {
+/// Detection of `fault` by event-driven propagation, observed at two
+/// arbitrary gate sets instead of the primary outputs: returns
+/// `(group_a_mask, group_b_mask)` — the patterns on which the fault
+/// effect differs from golden at any gate of the respective group.
+///
+/// Events follow every combinational fanout (observers may sit off the
+/// primary outputs, so no reachability pruning applies). Verdicts are
+/// bit-identical to diffing a full faulty resimulation against golden at
+/// the observer gates (the classification oracle): gates outside the
+/// combinational fanout cone keep their golden value, so only the root
+/// and the gates events reach can contribute.
+///
+/// # Panics
+///
+/// Panics on non-stuck-at kinds.
+pub fn detect_observed<Wd: SimWord>(
+    compiled: &CompiledNetlist,
+    golden: &[Wd],
+    scratch: &mut WideScratch<Wd>,
+    fault: Fault,
+    observers: &ObserverGroups,
+) -> (Wd, Wd) {
+    let root = fault.site().gate().index();
+    let value = fault_value(compiled, golden, fault);
+    scratch.counters.faults_evaluated += 1;
+    if value == golden[root] {
+        return (Wd::ZERO, Wd::ZERO);
+    }
+    scratch.counters.excitations += 1;
+    let mut mask_a = Wd::ZERO;
+    let mut mask_b = Wd::ZERO;
+    scratch.propagate(
+        compiled,
+        golden,
+        root,
+        value,
+        |s| (compiled.kind(s) != GateKind::Dff).then(|| compiled.level(s) as usize),
+        |g, diff| {
+            let m = observers.of(g);
             if m & 1 != 0 {
                 mask_a |= diff;
             }
             if m & 2 != 0 {
                 mask_b |= diff;
             }
-        };
-        scratch.val[root] = fault_value;
-        scratch.touched.push(root as u32);
-        observe(observers.of(root), fault_value ^ golden[root]);
-        let mut horizon = 0u32;
-        for &s in compiled.fanout_of(root) {
-            horizon = horizon.max(compiled.topo_pos(s as usize));
-        }
-        let cone = self
-            .cone_of(root)
-            .expect("fault root missing from campaign plan");
-        for &g in cone {
-            let gi = g as usize;
-            if compiled.topo_pos(gi) > horizon {
-                scratch.counters.horizon_exits += 1;
-                break;
-            }
-            let v = compiled.eval_word(gi, &scratch.val);
-            if v == golden[gi] {
-                continue;
-            }
-            scratch.val[gi] = v;
-            scratch.touched.push(g);
-            observe(observers.of(gi), v ^ golden[gi]);
-            for &s in compiled.fanout_of(gi) {
-                horizon = horizon.max(compiled.topo_pos(s as usize));
-            }
-        }
-        scratch.undo(golden);
-        (mask_a, mask_b)
-    }
+            false
+        },
+    );
+    (mask_a, mask_b)
 }
 
 /// Per-worker engine telemetry, accumulated as plain (non-atomic) field
@@ -920,15 +414,16 @@ impl CampaignPlan {
 /// metrics registry at shard granularity via
 /// [`ScratchCounters::flush_to_metrics`]. The fields are maintained
 /// unconditionally — an untaken branch costs more than the add — so the
-/// enabled/disabled telemetry paths stay identical inside the cone walk.
+/// enabled/disabled telemetry paths stay identical inside the walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
-    /// Faults pushed through [`CampaignPlan::detect_packed`] /
-    /// [`CampaignPlan::detect_observed`] (including unexcited ones).
+    /// Faults pushed through [`Detector::detect_packed`] /
+    /// [`detect_observed`] (including unexcited ones).
     pub faults_evaluated: u64,
     /// Faults whose injected value differed from golden at the root.
     pub excitations: u64,
-    /// Cone walks cut short because the event frontier died.
+    /// Walks stopped with events still pending because every lane had
+    /// already reached an output.
     pub horizon_exits: u64,
     /// Scratch cells restored through the touched-list undo log (the
     /// summed undo-list depth; divide by `excitations` for the mean).
@@ -941,9 +436,6 @@ pub struct ScratchCounters {
     /// Observability words served from the per-chunk site cache instead
     /// of walking (sa0/sa1/pin faults sharing their site's walk).
     pub obs_cache_hits: u64,
-    /// Cone members skipped without evaluation because no fanin changed
-    /// (the event-driven stamp check).
-    pub stamp_skips: u64,
     /// Faults dropped from their campaign at the first detecting word.
     pub dropped: u64,
     /// Nets whose observability word was produced by critical-path
@@ -967,7 +459,6 @@ impl ScratchCounters {
             metrics::counter("fault.undo_writes").add(self.undo_writes);
             metrics::counter("fault.obs_walks").add(self.obs_walks);
             metrics::counter("fault.obs_cache_hits").add(self.obs_cache_hits);
-            metrics::counter("fault.stamp_skips").add(self.stamp_skips);
             metrics::counter("fault.dropped").add(self.dropped);
             metrics::counter("fault.traced_nets").add(self.traced_nets);
             metrics::counter("fault.stem_fallbacks").add(self.stem_fallbacks);
@@ -979,18 +470,26 @@ impl ScratchCounters {
 }
 
 /// Reusable per-worker scratch: a value array mirroring the chunk
-/// golden, the touched-list undo log, the event stamps of the packed
-/// walk and the per-chunk observability cache. No allocation per fault.
-/// Generic over the packed lane width; [`FaultScratch`] is the 64-lane
-/// `u64` instantiation every scalar-width campaign uses.
+/// golden, the touched-list undo log, the event stamps and per-level
+/// event buckets of the walk, and the per-chunk observability cache. No
+/// allocation per fault once warm. Generic over the packed lane width;
+/// [`FaultScratch`] is the 64-lane `u64` instantiation every
+/// scalar-width campaign uses.
 #[derive(Debug, Clone)]
 pub struct WideScratch<Wd: SimWord> {
     val: Vec<Wd>,
     touched: Vec<u32>,
-    /// Event stamps: `stamp[g] == walk_id` marks a fanin of `g` changed
-    /// during the current packed walk.
+    /// Event stamps: `stamp[g] == walk_id` marks `g` as already queued
+    /// in the current walk.
     stamp: Vec<u32>,
     walk_id: u32,
+    /// Pending events of the current walk, one bucket per logic level
+    /// ([`CompiledNetlist::level`]); every bucket is empty between
+    /// walks, and keeps its capacity across them.
+    buckets: Vec<Vec<u32>>,
+    /// Bit `l` set iff `buckets[l]` holds events, so a walk jumps
+    /// straight to the next pending level.
+    pending: Vec<u64>,
     /// One-entry observability cache: the last walked root of the
     /// current chunk (`u32::MAX` = empty, reset by
     /// [`WideScratch::load_golden`]) and its observability word.
@@ -1017,6 +516,8 @@ impl<Wd: SimWord> WideScratch<Wd> {
             touched: Vec::new(),
             stamp: vec![0; len],
             walk_id: 0,
+            buckets: Vec::new(),
+            pending: Vec::new(),
             obs_root: u32::MAX,
             obs_word: Wd::ZERO,
             loaded_chunk: u32::MAX,
@@ -1062,6 +563,98 @@ impl<Wd: SimWord> WideScratch<Wd> {
         self.walk_id
     }
 
+    /// Writes `value` at `root` and propagates the change through the
+    /// combinational fanout by level, then restores golden.
+    ///
+    /// `enter(s)` admits fanout `s` as an event target by returning its
+    /// logic level, or refuses it with `None` (it must refuse DFF
+    /// consumers: effects stop at `D`-pins within a chunk). `changed(g,
+    /// diff)` sees every gate whose value left golden — the root first —
+    /// with its difference word, and returns `true` to stop the walk.
+    fn propagate(
+        &mut self,
+        compiled: &CompiledNetlist,
+        golden: &[Wd],
+        root: usize,
+        value: Wd,
+        enter: impl Fn(usize) -> Option<usize>,
+        mut changed: impl FnMut(usize, Wd) -> bool,
+    ) {
+        let depth = compiled.depth() as usize;
+        if self.buckets.len() <= depth {
+            self.buckets.resize_with(depth + 1, Vec::new);
+            self.pending.resize(depth / 64 + 1, 0);
+        }
+        let id = self.next_walk_id();
+        let WideScratch {
+            val,
+            touched,
+            stamp,
+            buckets,
+            pending,
+            counters,
+            ..
+        } = self;
+        // Queues every admitted, not yet queued fanout of `g` in its
+        // level's bucket and marks the level pending.
+        let schedule =
+            |g: usize, stamp: &mut [u32], buckets: &mut [Vec<u32>], pending: &mut [u64]| {
+                for &s in compiled.fanout_of(g) {
+                    let si = s as usize;
+                    let Some(l) = enter(si) else { continue };
+                    if stamp[si] != id {
+                        stamp[si] = id;
+                        buckets[l].push(s);
+                        pending[l / 64] |= 1 << (l % 64);
+                    }
+                }
+            };
+        val[root] = value;
+        touched.push(root as u32);
+        let mut stop = changed(root, value ^ golden[root]);
+        if !stop {
+            schedule(root, stamp, buckets, pending);
+        }
+        // Events only ever enter levels above the one being evaluated, so
+        // the lowest pending level is the next to run and the scan never
+        // moves back down.
+        let mut word = compiled.level(root) as usize / 64;
+        while word < pending.len() {
+            if pending[word] == 0 {
+                word += 1;
+                continue;
+            }
+            let lvl = word * 64 + pending[word].trailing_zeros() as usize;
+            pending[word] &= pending[word] - 1;
+            let mut bucket = std::mem::take(&mut buckets[lvl]);
+            if !stop {
+                // Gate-id order within a level: on a levelized arena the
+                // whole walk then reads the value arrays in address order.
+                bucket.sort_unstable();
+                for &g in &bucket {
+                    let gi = g as usize;
+                    let v = compiled.eval_word(gi, val);
+                    if v == golden[gi] {
+                        continue;
+                    }
+                    val[gi] = v;
+                    touched.push(g);
+                    if changed(gi, v ^ golden[gi]) {
+                        stop = true;
+                        counters.horizon_exits += 1;
+                        break;
+                    }
+                    schedule(gi, stamp, buckets, pending);
+                }
+            }
+            // A stopped walk still drains its pending levels, so every
+            // bucket is empty for the next walk.
+            bucket.clear();
+            buckets[lvl] = bucket;
+        }
+        self.undo(golden);
+    }
+
     fn undo(&mut self, golden: &[Wd]) {
         let depth = self.touched.len() as u64;
         self.counters.undo_writes += depth;
@@ -1079,60 +672,50 @@ mod tests {
     use rescue_netlist::cone::comb_fanout_cone;
     use rescue_netlist::generate;
 
-    #[test]
-    fn plan_capacity_boundary() {
-        assert_eq!(ensure_plan_capacity(0), Ok(()));
-        assert_eq!(ensure_plan_capacity(MAX_PLAN_ENTRIES), Ok(()));
-        let err = ensure_plan_capacity(MAX_PLAN_ENTRIES + 1).unwrap_err();
-        assert_eq!(
-            err,
-            FaultError::PlanTooLarge {
-                entries: MAX_PLAN_ENTRIES + 1,
-                limit: MAX_PLAN_ENTRIES,
-            }
-        );
-        assert!(err.to_string().contains("u32 offset limit"));
+    /// Golden words of a few pseudo-random patterns.
+    fn golden_of(compiled: &CompiledNetlist, inputs: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
+        let words: Vec<u64> = (0..inputs as u64)
+            .map(|i| seed.wrapping_mul(i + 3) ^ (i << 17))
+            .collect();
+        let mut golden = Vec::new();
+        compiled.eval_words_into(&words, None, &mut golden).unwrap();
+        (words, golden)
     }
 
+    /// Observing the complement of a site's combinational fanout cone
+    /// sees nothing; observing the cone sees exactly what a full faulty
+    /// resimulation changes. Events therefore stay inside the cone and
+    /// stop at DFF `D`-pins.
     #[test]
-    fn plan_cones_match_netlist_comb_fanout_cones() {
-        let net = generate::random_logic(8, 120, 4, 77);
-        let compiled = CompiledNetlist::new(&net);
-        let faults: Vec<Fault> = crate::universe::stuck_at_universe(&net);
-        let plan = CampaignPlan::build(&compiled, &faults);
-        for fault in &faults {
-            let root = fault.site().gate();
-            let mut got: Vec<usize> = plan
-                .cone_of(root.index())
-                .expect("root in plan")
-                .iter()
-                .map(|&g| g as usize)
-                .collect();
-            got.push(root.index());
-            got.sort_unstable();
-            let mut want: Vec<usize> = comb_fanout_cone(&net, &[root])
-                .iter()
-                .map(|g| g.index())
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "cone of {root}");
-        }
-    }
-
-    #[test]
-    fn cones_are_topologically_sorted_after_root() {
-        let net = generate::random_logic(6, 80, 3, 9);
-        let compiled = CompiledNetlist::new(&net);
-        let faults = crate::universe::stuck_at_universe(&net);
-        let plan = CampaignPlan::build(&compiled, &faults);
-        for fault in &faults {
-            let root = fault.site().gate().index();
-            let cone = plan.cone_of(root).unwrap();
-            let mut prev = compiled.topo_pos(root);
-            for &g in cone {
-                let pos = compiled.topo_pos(g as usize);
-                assert!(pos > prev, "cone must ascend strictly past the root");
-                prev = pos;
+    fn fault_effects_stay_in_comb_fanout_cones() {
+        for net in [
+            generate::random_logic(8, 120, 4, 77),
+            generate::lfsr(5, &[4, 2]),
+            generate::control_fsm(),
+        ] {
+            let compiled = CompiledNetlist::new(&net);
+            let (words, golden) = golden_of(&compiled, net.primary_inputs().len(), 0x9e37_79b9);
+            let slow = crate::reference::ReferenceFaultSimulator::new(&net);
+            let mut scratch = FaultScratch::new(compiled.len());
+            scratch.load_golden(&golden);
+            for fault in crate::universe::stuck_at_universe(&net) {
+                let root = fault.site().gate();
+                let cone: Vec<u32> = comb_fanout_cone(&net, &[root])
+                    .iter()
+                    .map(|g| g.index() as u32)
+                    .collect();
+                let outside: Vec<u32> = (0..compiled.len() as u32)
+                    .filter(|g| !cone.contains(g))
+                    .collect();
+                let groups = ObserverGroups::new(compiled.len(), &outside, &cone);
+                let (out, inside) =
+                    detect_observed(&compiled, &golden, &mut scratch, fault, &groups);
+                assert_eq!(out, 0, "{fault}: an event left the cone");
+                let faulty = slow.with_stuck(&net, &words, fault);
+                let want = cone
+                    .iter()
+                    .fold(0u64, |m, &g| m | (golden[g as usize] ^ faulty[g as usize]));
+                assert_eq!(inside, want, "{fault}");
             }
         }
     }
@@ -1142,7 +725,6 @@ mod tests {
         let net = generate::random_logic(7, 100, 4, 33);
         let compiled = CompiledNetlist::new(&net);
         let faults = crate::universe::stuck_at_universe(&net);
-        let plan = CampaignPlan::build(&compiled, &faults);
         let words: Vec<u64> = (0..7).map(|i| 0x5bd1_e995u64.wrapping_mul(i + 3)).collect();
         let mut golden = Vec::new();
         compiled.eval_words_into(&words, None, &mut golden).unwrap();
@@ -1164,7 +746,7 @@ mod tests {
         let mut scratch = FaultScratch::new(compiled.len());
         scratch.load_golden(&golden);
         for &fault in &faults {
-            let (ma, mb) = plan.detect_observed(&compiled, &golden, &mut scratch, fault, &obs);
+            let (ma, mb) = detect_observed(&compiled, &golden, &mut scratch, fault, &obs);
             let faulty = slow.with_stuck(&net, &words, fault);
             let want_a = a
                 .iter()
@@ -1187,7 +769,7 @@ mod tests {
         let net = generate::c17();
         let compiled = CompiledNetlist::new(&net);
         let faults = crate::universe::stuck_at_universe(&net);
-        let plan = CampaignPlan::build(&compiled, &faults);
+        let det = Detector::new(&compiled);
         let words: Vec<u64> = (0..5).map(|i| 0xdead_beef_u64 << i).collect();
         let mut golden = Vec::new();
         compiled.eval_words_into(&words, None, &mut golden).unwrap();
@@ -1195,13 +777,14 @@ mod tests {
         scratch.load_golden(&golden);
         let obs = ObserverGroups::new(compiled.len(), compiled.po_drivers(), &[]);
         for &fault in &faults {
-            plan.detect_packed(&compiled, &golden, &mut scratch, fault)
-                .unwrap();
+            det.detect_packed(&compiled, &golden, &mut scratch, fault);
             assert_eq!(scratch.val, golden, "scratch must be golden after {fault}");
             assert!(scratch.touched.is_empty());
-            plan.detect_observed(&compiled, &golden, &mut scratch, fault, &obs);
+            assert!(scratch.buckets.iter().all(Vec::is_empty));
+            detect_observed(&compiled, &golden, &mut scratch, fault, &obs);
             assert_eq!(scratch.val, golden, "scratch must be golden after {fault}");
             assert!(scratch.touched.is_empty());
+            assert!(scratch.buckets.iter().all(Vec::is_empty));
         }
     }
 }

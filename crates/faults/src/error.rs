@@ -20,21 +20,6 @@ pub enum FaultError {
         /// The offending value.
         value: f64,
     },
-    /// A fault site was queried against a [`crate::engine::CampaignPlan`]
-    /// that never memoized its cone (the fault was not in the list the
-    /// plan was built from).
-    UnplannedSite {
-        /// Gate index of the offending fault site.
-        gate: usize,
-    },
-    /// A campaign plan's cone CSR outgrew its `u32` offset arena. The
-    /// plan fails loudly instead of silently truncating offsets.
-    PlanTooLarge {
-        /// Total cone entries the plan would need.
-        entries: usize,
-        /// The maximum entries the `u32` offsets can address.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for FaultError {
@@ -45,18 +30,6 @@ impl fmt::Display for FaultError {
             }
             FaultError::BadSamplingParameter { parameter, value } => {
                 write!(f, "sampling parameter `{parameter}` out of range: {value}")
-            }
-            FaultError::UnplannedSite { gate } => {
-                write!(
-                    f,
-                    "fault site at gate {gate} has no memoized cone in this campaign plan"
-                )
-            }
-            FaultError::PlanTooLarge { entries, limit } => {
-                write!(
-                    f,
-                    "campaign plan needs {entries} cone entries, exceeding the u32 offset limit of {limit}"
-                )
             }
         }
     }

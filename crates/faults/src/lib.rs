@@ -11,8 +11,9 @@
 //! * [`collapse`] — structural equivalence collapsing.
 //! * [`simulate`] — serial and 64-way parallel-pattern fault simulation
 //!   with fault dropping, for both combinational and sequential designs.
-//! * [`engine`] — the incremental single-fault-propagation core: memoized
-//!   fanout cones, event-horizon early exit, touched-list undo.
+//! * [`engine`] — the single-fault-propagation core: events propagated
+//!   by logic level over the compiled arena, PO-reachability pruning,
+//!   touched-list undo.
 //! * [`trace`] — critical-path tracing: per-net observability words by
 //!   backward sensitization over fanout-free regions, with the exact
 //!   event-driven walk kept as the reconvergent-stem fallback.

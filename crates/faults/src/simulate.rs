@@ -2,17 +2,17 @@
 //!
 //! [`FaultSimulator`] runs on the [`CompiledNetlist`] flat arena and
 //! detects stuck-at faults through one packed path
-//! ([`FaultSimulator::campaign_packed`]) built on the incremental cone
-//! engine from [`crate::engine`]: per (site, chunk) it walks only the
-//! site's combinational fanout cone instead of the whole design, with
+//! ([`FaultSimulator::campaign_packed`]) built on the event-driven
+//! engine from [`crate::engine`]: per (site, chunk) it evaluates only the
+//! gates a fault effect actually reaches, level by level, with
 //! touched-list undo so campaigns allocate nothing per fault. Verdicts
 //! are bit-identical to the full-resimulation oracle in
 //! [`crate::reference`] (enforced by property tests).
 
 use crate::collapse::CollapsedUniverse;
-use crate::engine::{CampaignPlan, FaultScratch, WideScratch};
+use crate::engine::{Detector, FaultScratch, WideScratch};
 use crate::model::{BridgingFault, Fault, FaultKind, FaultSite};
-use crate::trace::{TracePlan, TraceScratch};
+use crate::trace::TraceScratch;
 use rescue_campaign::{
     ArtifactStore, Campaign, CampaignManifest, CampaignStats, ContentHash, DurableRun, ResultStore,
     Schedule, ShardedRun, StatsDelta,
@@ -106,9 +106,9 @@ pub struct CampaignRun {
 }
 
 /// Engine configuration for [`FaultSimulator::campaign_packed`]: the
-/// packed lane width, an optional collapsed universe, tracing and an
-/// optional plan cache. The default (lane width 1, none of the rest) is
-/// the engine behind [`FaultSimulator::campaign`].
+/// packed lane width, an optional collapsed universe and tracing. The
+/// default (lane width 1, none of the rest) is the engine behind
+/// [`FaultSimulator::campaign`].
 #[derive(Debug, Clone, Copy)]
 pub struct PackedOptions<'a> {
     /// Word width in 64-lane limbs: 1 (`u64`, 64 patterns per walk) or
@@ -120,20 +120,12 @@ pub struct PackedOptions<'a> {
     /// faults have identical detection masks on every pattern set.
     pub collapsed: Option<&'a CollapsedUniverse>,
     /// When set, detection runs through the critical-path-tracing /
-    /// cone-walk hybrid ([`crate::trace::TracePlan`]): observability
+    /// event-walk hybrid ([`Detector::detect_traced`]): observability
     /// words come from backward sensitization over fanout-free regions,
     /// and the event-driven walk is reserved for reconvergent stems.
     /// Verdicts stay bit-identical to the walking engine for every lane
     /// width, schedule, worker count and collapse setting.
     pub tracing: bool,
-    /// When set, built campaign/trace plans are persisted to (and reloaded
-    /// from) this content-addressed artifact cache under
-    /// [`crate::content::plan_key`]. A warm cache skips plan construction
-    /// — the cone DFS and net classification — entirely; plans decode to
-    /// bytes identical to a fresh build, so verdicts are unaffected.
-    /// Deliberately excluded from [`crate::content::hash_options`]: the
-    /// cache changes wall-clock, never results or unit partitions.
-    pub artifacts: Option<&'a ArtifactStore>,
 }
 
 impl Default for PackedOptions<'_> {
@@ -142,7 +134,6 @@ impl Default for PackedOptions<'_> {
             lane_width: 1,
             collapsed: None,
             tracing: false,
-            artifacts: None,
         }
     }
 }
@@ -170,11 +161,12 @@ impl<'a> PackedOptions<'a> {
         self
     }
 
-    /// Persists and reloads built plans through `artifacts`, so repeat
-    /// campaigns over the same design and walk list skip plan
-    /// construction.
-    pub fn with_artifacts(mut self, artifacts: &'a ArtifactStore) -> Self {
-        self.artifacts = Some(artifacts);
+    /// Has no effect: campaigns build no per-fault-list plan, so there
+    /// is nothing left to cache per campaign (the compiled arena is
+    /// cached through [`FaultSimulator::new_cached`]). Kept only so the
+    /// benchmark crate's existing call compiles until the benchmark
+    /// change that removes it.
+    pub fn with_artifacts(self, _artifacts: &'a ArtifactStore) -> Self {
         self
     }
 }
@@ -193,8 +185,8 @@ pub struct FaultSimulator {
     compiled: CompiledNetlist,
     /// [`crate::content::hash_netlist`] of the arena: known up front
     /// when the arena came through the artifact cache, computed on first
-    /// use otherwise. Plan and campaign keys reuse it, so the design is
-    /// hashed at most once per simulator.
+    /// use otherwise. Campaign keys reuse it, so the design is hashed at
+    /// most once per simulator.
     netlist_hash: OnceLock<ContentHash>,
 }
 
@@ -212,16 +204,33 @@ impl FaultSimulator {
     /// the source netlist without compiling), so a warm cache decodes the
     /// stored arena instead of recompiling. The decoded arena is
     /// byte-identical to a fresh compile; a cold or corrupt cache
-    /// compiles and publishes.
+    /// compiles and publishes (overwriting a bad entry).
+    ///
+    /// `plan.cache_hits` / `plan.cache_misses` count how setups split. A
+    /// publish that fails (full disk, vanished cache directory) keeps the
+    /// compiled arena and counts in `plan.cache_write_errors`: the cache
+    /// only ever costs the next run a recompile, never this run its
+    /// result.
     pub fn new_cached(netlist: &Netlist, artifacts: &ArtifactStore) -> Self {
         let hash = crate::content::hash_netlist_source(netlist);
-        let compiled = load_or_build(
-            Some(artifacts),
-            || crate::content::compiled_key_of(hash),
-            CompiledNetlist::from_bytes,
-            CompiledNetlist::to_bytes,
-            || CompiledNetlist::new(netlist),
-        );
+        let key = crate::content::compiled_key_of(hash);
+        let compiled = match artifacts
+            .load(key)
+            .and_then(|bytes| CompiledNetlist::from_bytes(&bytes))
+        {
+            Some(compiled) => {
+                metrics::counter("plan.cache_hits").add(1);
+                compiled
+            }
+            None => {
+                metrics::counter("plan.cache_misses").add(1);
+                let compiled = CompiledNetlist::new(netlist);
+                if artifacts.save(key, &compiled.to_bytes()).is_err() {
+                    metrics::counter("plan.cache_write_errors").add(1);
+                }
+                compiled
+            }
+        };
         FaultSimulator {
             compiled,
             netlist_hash: OnceLock::from(hash),
@@ -349,8 +358,9 @@ impl FaultSimulator {
     }
 
     /// Runs a stuck-at campaign with fault dropping: each fault is
-    /// simulated only until its first detection, only within its fanout
-    /// cone, and the whole campaign stops once every fault is detected.
+    /// simulated only until its first detection, only where its effect
+    /// propagates, and the whole campaign stops once every fault is
+    /// detected.
     /// The serial, 64-lane [`FaultSimulator::campaign_packed`].
     ///
     /// # Panics
@@ -370,20 +380,21 @@ impl FaultSimulator {
     /// PPSFP stuck-at campaign with fault dropping through the shared
     /// [`Campaign`] driver: per-chunk golden words are computed once and
     /// shared read-only, and every worker detects through the packed
-    /// observability path ([`CampaignPlan::detect_packed`]) — one
-    /// event-driven cone walk per (site, pattern word), shared by all
-    /// faults at that site. The fault list is handed out per the
+    /// observability path ([`Detector::detect_packed`]) — one
+    /// event-driven walk per (site, pattern word), shared by all faults
+    /// at that site. The fault list is handed out per the
     /// campaign's [`rescue_campaign::Schedule`]: static contiguous shards
     /// or the work-stealing chunk queue (the default — fault dropping
     /// makes per-fault cost wildly non-uniform, which static shards
     /// handle worst).
     ///
     /// `opts` picks the engine configuration: a wide [`SimWord`] lane
-    /// width (2/4/8 × 64 packed patterns per cone walk,
-    /// autovectorized), a collapsed universe (walk equivalence-class
-    /// representatives only, expand verdicts to the rest for free),
-    /// critical-path tracing and a plan cache. Verdicts are
-    /// bit-identical to the full-resimulation oracle for every width,
+    /// width (2/4/8 × 64 packed patterns per walk, autovectorized), a
+    /// collapsed universe (walk equivalence-class representatives only,
+    /// expand verdicts to the rest for free) and critical-path tracing.
+    /// The design's PO-reachability sweep is the campaign's only
+    /// detection setup, shared by the walk list and the engine. Verdicts
+    /// are bit-identical to the full-resimulation oracle for every width,
     /// schedule, worker count and option; the returned [`CampaignRun`]
     /// adds throughput, lane-occupancy, drop and steal figures, and
     /// [`CampaignStats::faults_walked`] records how much walking the
@@ -461,9 +472,9 @@ impl FaultSimulator {
         }
     }
 
-    /// The width-generic packed campaign: walk list, golden chunks and
-    /// engine, then [`drain_walk`] runs the walk list (in-process or
-    /// through the durable store) and [`finish_packed`] expands the
+    /// The width-generic packed campaign: reachability, walk list and
+    /// golden chunks, then [`drain_walk`] runs the walk list (in-process
+    /// or through the durable store) and [`finish_packed`] expands the
     /// verdicts into the report.
     fn packed_w<Wd: SimWord>(
         &self,
@@ -481,20 +492,21 @@ impl FaultSimulator {
             "fault.campaign"
         };
         let _campaign = span!(stage, faults = faults.len());
-        let (walk, expand) = self.walk_list(faults, opts, campaign.workers);
+        let det = Detector::with_workers(c, campaign.workers);
+        let (walk, expand) = self.walk_list(faults, opts, &det, campaign.workers);
         let durable = durable.map(|(store, unit_faults)| {
             let manifest = self.manifest_for(faults, patterns, opts, walk.len(), unit_faults);
             (manifest, store)
         });
         let chunks = self.golden_chunks::<Wd>(patterns, campaign.workers);
         let (results, mut stats) = if opts.tracing {
-            let engine = TraceEngine::build(c, self.netlist_hash(), &walk, campaign.workers, opts);
+            let engine = TraceEngine { c, det: &det };
             let (results, mut stats) =
                 drain_walk(campaign, &walk, &engine, &chunks, durable.as_ref());
-            stats.faults_traced = engine.tplan.statically_traced();
+            stats.faults_traced = det.statically_traced(c, &walk);
             (results, stats)
         } else {
-            let engine = WalkEngine::build(c, self.netlist_hash(), &walk, campaign.workers, opts);
+            let engine = WalkEngine { c, det: &det };
             drain_walk(campaign, &walk, &engine, &chunks, durable.as_ref())
         };
         stats.injections = faults.len();
@@ -524,7 +536,7 @@ impl FaultSimulator {
         opts: &PackedOptions,
         unit_faults: usize,
     ) -> CampaignManifest {
-        let (walk, _) = self.walk_list(faults, opts, 1);
+        let (walk, _) = self.walk_list(faults, opts, &Detector::new(&self.compiled), 1);
         self.manifest_for(faults, patterns, opts, walk.len(), unit_faults)
     }
 
@@ -550,39 +562,37 @@ impl FaultSimulator {
 
     /// Collapse prefilter shared by the plain and durable packed
     /// campaigns: walk each equivalence class once, in order of first
-    /// appearance, then sweep PO reachability over the representatives —
-    /// structurally unobservable classes share the all-zero detection
-    /// mask and expand to "undetected" without a walk. Exact because
+    /// appearance, then look up the campaign's PO reachability (`det`)
+    /// for the representatives — structurally unobservable classes share
+    /// the all-zero detection mask and expand to "undetected" without a
+    /// walk. Exact because
     /// equivalent faults have identical detection masks (the property
     /// the `collapse` tests pin down), so even first-detection indices
     /// expand unchanged. The returned map remembers which walked slot
     /// answers each original fault ([`UNOBSERVED`] = unobservable class,
     /// never detected; the map itself is `None` when collapsing is off).
     ///
-    /// The reachability sweep and the per-fault representative lookups
-    /// run on up to `workers` threads over contiguous fault shards; only
-    /// the observable faults — a small fraction of a large universe —
-    /// are then numbered serially, in shard order, so the walk list is
-    /// the same for every worker count.
+    /// The per-fault representative lookups run on up to `workers`
+    /// threads over contiguous fault shards; only the observable faults
+    /// — a small fraction of a large universe — are then numbered
+    /// serially, in shard order, so the walk list is the same for every
+    /// worker count.
     fn walk_list(
         &self,
         faults: &[Fault],
         opts: &PackedOptions,
+        det: &Detector,
         workers: usize,
     ) -> (Vec<Fault>, Option<Vec<u32>>) {
         let Some(cu) = opts.collapsed else {
             return (faults.to_vec(), None);
         };
-        // O(gates + edges) reachability sweep first, so cone
-        // construction is paid only for the faults that will actually be
-        // walked.
-        let reachable = crate::engine::po_reachable_with(&self.compiled, workers);
         let mut map = vec![0u32; faults.len()];
         let observed = for_shards(&mut map, workers, |offset, shard| {
             let mut observed = Vec::new();
             for (i, (slot, &f)) in shard.iter_mut().zip(&faults[offset..]).enumerate() {
                 let rep = cu.representative(f);
-                if reachable[rep.site().gate().index()] {
+                if det.observable(rep.site().gate().index()) {
                     observed.push((offset + i, rep));
                 } else {
                     *slot = UNOBSERVED;
@@ -686,7 +696,7 @@ impl FaultSimulator {
     /// Packs 64 consecutive pairs per word: the launch word holds
     /// patterns `i..i+64`, the capture word patterns `i+1..i+65`, and the
     /// equivalent stuck-at fault is detected on the capture golden with
-    /// [`CampaignPlan::detect_packed`], masked by the live lanes whose
+    /// [`Detector::detect_packed`], masked by the live lanes whose
     /// pair launches the transition.
     ///
     /// Returns the report with pattern index = index of the capture
@@ -717,7 +727,7 @@ impl FaultSimulator {
                 )
             })
             .collect();
-        let plan = CampaignPlan::build(c, faults);
+        let det = Detector::new(c);
         let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
         let mut g_launch: Vec<u64> = Vec::new();
         let mut g_capture: Vec<u64> = Vec::new();
@@ -753,10 +763,7 @@ impl FaultSimulator {
                 if launched == 0 {
                     continue; // no pair in this word launches the transition
                 }
-                let mask = plan
-                    .detect_packed(c, &g_capture, &mut scratch, eq)
-                    .expect("fault root missing from campaign plan")
-                    & launched;
+                let mask = det.detect_packed(c, &g_capture, &mut scratch, eq) & launched;
                 if mask != 0 {
                     first_detection[fi] = Some(base + mask.trailing_zeros() as usize + 1);
                 }
@@ -906,7 +913,7 @@ impl<Wd: SimWord> GoldenChunks<Wd> {
 /// The packed detection interface shared by the plain and durable
 /// campaign paths: one fault in, one `Wd` detection mask out, with the
 /// drop bookkeeping the engines keep in their scratch. Implemented by
-/// the event-driven cone walker ([`WalkEngine`]) and the critical-path
+/// the event-driven walker ([`WalkEngine`]) and the critical-path
 /// tracing hybrid ([`TraceEngine`]), so the campaign inner loop
 /// ([`detect_chunk`]) is written exactly once.
 trait PackedDetect<Wd: SimWord>: Sync {
@@ -950,61 +957,10 @@ impl<S> DrainScratch<S> {
     }
 }
 
-/// Fetches a plan artifact from the cache, or builds and publishes it.
-///
-/// The decode path executes zero DFS or classification work: a hit is a
-/// read, a checksum and a byte decode. Corrupt or foreign payloads fall
-/// through to a rebuild (and overwrite the bad entry). `plan.cache_hits` /
-/// `plan.cache_misses` count how a workload's setup split. A publish
-/// that fails (full disk, vanished cache directory) keeps the built
-/// value and counts in `plan.cache_write_errors`: the cache only ever
-/// costs the next run a rebuild, never this run its result.
-fn load_or_build<T>(
-    artifacts: Option<&ArtifactStore>,
-    key: impl FnOnce() -> ContentHash,
-    decode: impl Fn(&[u8]) -> Option<T>,
-    encode: impl Fn(&T) -> Vec<u8>,
-    build: impl FnOnce() -> T,
-) -> T {
-    let Some(store) = artifacts else {
-        return build();
-    };
-    let key = key();
-    if let Some(artifact) = store.load(key).and_then(|bytes| decode(&bytes)) {
-        metrics::counter("plan.cache_hits").add(1);
-        return artifact;
-    }
-    metrics::counter("plan.cache_misses").add(1);
-    let built = build();
-    if store.save(key, &encode(&built)).is_err() {
-        metrics::counter("plan.cache_write_errors").add(1);
-    }
-    built
-}
-
-/// The event-driven packed cone walker ([`CampaignPlan::detect_packed`]).
+/// The event-driven packed walker ([`Detector::detect_packed`]).
 struct WalkEngine<'a> {
     c: &'a CompiledNetlist,
-    plan: CampaignPlan,
-}
-
-impl<'a> WalkEngine<'a> {
-    fn build(
-        c: &'a CompiledNetlist,
-        netlist_hash: ContentHash,
-        walk: &[Fault],
-        workers: usize,
-        opts: &PackedOptions,
-    ) -> Self {
-        let plan = load_or_build(
-            opts.artifacts,
-            || crate::content::plan_key_of(netlist_hash, walk, false),
-            CampaignPlan::from_bytes,
-            CampaignPlan::to_bytes,
-            || CampaignPlan::build_with(c, walk, workers),
-        );
-        WalkEngine { c, plan }
-    }
+    det: &'a Detector,
 }
 
 impl<Wd: SimWord> PackedDetect<Wd> for WalkEngine<'_> {
@@ -1016,7 +972,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for WalkEngine<'_> {
     }
 
     fn observable(&self, gate: usize) -> bool {
-        self.plan.observable(gate)
+        self.det.observable(gate)
     }
 
     fn load(&self, scratch: &mut WideScratch<Wd>, chunk: u32, golden: &[Wd]) {
@@ -1024,9 +980,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for WalkEngine<'_> {
     }
 
     fn detect(&self, scratch: &mut WideScratch<Wd>, golden: &[Wd], fault: Fault) -> Wd {
-        self.plan
-            .detect_packed(self.c, golden, scratch, fault)
-            .expect("fault root missing from campaign plan")
+        self.det.detect_packed(self.c, golden, scratch, fault)
     }
 
     fn note_drop(&self, scratch: &mut WideScratch<Wd>) {
@@ -1038,31 +992,12 @@ impl<Wd: SimWord> PackedDetect<Wd> for WalkEngine<'_> {
     }
 }
 
-/// The hybrid CPT engine: observability by backward tracing over
-/// fanout-free regions, event-driven walks only at reconvergent stems
-/// (shared by the whole region below).
+/// The hybrid CPT engine ([`Detector::detect_traced`]): observability
+/// by backward tracing over fanout-free regions, event-driven walks only
+/// at reconvergent stems (shared by the whole region below).
 struct TraceEngine<'a> {
     c: &'a CompiledNetlist,
-    tplan: TracePlan,
-}
-
-impl<'a> TraceEngine<'a> {
-    fn build(
-        c: &'a CompiledNetlist,
-        netlist_hash: ContentHash,
-        walk: &[Fault],
-        workers: usize,
-        opts: &PackedOptions,
-    ) -> Self {
-        let tplan = load_or_build(
-            opts.artifacts,
-            || crate::content::plan_key_of(netlist_hash, walk, true),
-            TracePlan::from_bytes,
-            TracePlan::to_bytes,
-            || TracePlan::build_with(c, walk, workers),
-        );
-        TraceEngine { c, tplan }
-    }
+    det: &'a Detector,
 }
 
 impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
@@ -1074,7 +1009,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
     }
 
     fn observable(&self, gate: usize) -> bool {
-        self.tplan.plan().observable(gate)
+        self.det.observable(gate)
     }
 
     fn load(&self, scratch: &mut TraceScratch<Wd>, chunk: u32, golden: &[Wd]) {
@@ -1082,9 +1017,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
     }
 
     fn detect(&self, scratch: &mut TraceScratch<Wd>, golden: &[Wd], fault: Fault) -> Wd {
-        self.tplan
-            .detect_traced(self.c, golden, scratch, fault)
-            .expect("fault root missing from campaign plan")
+        self.det.detect_traced(self.c, golden, scratch, fault)
     }
 
     fn note_drop(&self, scratch: &mut TraceScratch<Wd>) {

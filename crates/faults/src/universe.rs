@@ -114,6 +114,19 @@ mod tests {
     use super::*;
     use rescue_netlist::generate;
 
+    /// The observable-design generator keeps its promise: almost every
+    /// stuck-at fault of a 20k-gate instance can reach an output.
+    #[test]
+    fn observable_logic_faults_are_po_reachable() {
+        let net = generate::observable_logic(32, 20_000, 4096, 7);
+        let all = stuck_at_universe(&net).len();
+        let reachable = stuck_at_universe_observable(&net).len();
+        assert!(
+            reachable as f64 >= 0.95 * all as f64,
+            "{reachable} of {all} faults PO-reachable"
+        );
+    }
+
     #[test]
     fn universe_counts() {
         let c = generate::c17();

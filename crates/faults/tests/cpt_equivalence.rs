@@ -1,25 +1,26 @@
-//! The critical-path-tracing / cone-walk hybrid is bit-identical to the
+//! The critical-path-tracing / event-walk hybrid is bit-identical to the
 //! full-resimulation oracle.
 //!
-//! [`TracePlan::detect_traced`] replaces the per-site event-driven walk
+//! [`Detector::detect_traced`] replaces the per-site event-driven walk
 //! with backward sensitization ANDs over fanout-free regions, keeping the
 //! walk only at reconvergent stems. These tests pin down that the hybrid
 //! is **exact**: detection words equal [`ReferenceFaultSimulator`]'s
 //! masks lane-for-lane at every supported width (including ragged
 //! tails), and a full `campaign_packed` with tracing enabled reproduces
 //! the reference campaign's `first_detection` vector for every schedule,
-//! worker count and collapse setting. A hand-built reconvergent circuit
-//! asserts the stem fallback actually fires, and an unplanned site
-//! surfaces the typed [`FaultError::UnplannedSite`] instead of a panic.
+//! worker count and collapse setting, on both design families. A
+//! hand-built reconvergent circuit asserts the stem fallback actually
+//! fires, and a detector built without any fault list answers every site
+//! like the oracle.
 
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::collapse::collapse;
-use rescue_faults::engine::{CampaignPlan, FaultScratch};
+use rescue_faults::engine::{Detector, FaultScratch};
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
-use rescue_faults::trace::{NetClass, TracePlan, TraceScratch};
-use rescue_faults::{universe, Fault, FaultError, FaultSite};
+use rescue_faults::trace::{class_of, NetClass, TraceScratch};
+use rescue_faults::{universe, Fault, FaultSite};
 use rescue_netlist::{generate, NetlistBuilder};
 use rescue_sim::wide::{pack_patterns_wide, PackedWord, SimWord};
 
@@ -48,7 +49,7 @@ fn traced_masks_match_scalar<Wd: SimWord>(seed: u64) {
     let patterns = random_patterns(7, 300, seed);
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
-    let tplan = TracePlan::build(c, &faults);
+    let det = Detector::new(c);
     let oracle = ReferenceFaultSimulator::new(&net);
     let mut traced = TraceScratch::<Wd>::new(c.len());
     for chunk in patterns.chunks(Wd::LANES) {
@@ -58,7 +59,7 @@ fn traced_masks_match_scalar<Wd: SimWord>(seed: u64) {
         traced.load_golden(&golden);
         let live = Wd::live_mask(chunk.len());
         for &fault in &faults {
-            let mask = tplan.detect_traced(c, &golden, &mut traced, fault).unwrap() & live;
+            let mask = det.detect_traced(c, &golden, &mut traced, fault) & live;
             // Reference oracle on each 64-pattern slice of the wide chunk.
             for (sub_i, sub) in chunk.chunks(64).enumerate() {
                 let sub_words = pack_patterns_wide::<u64>(sub);
@@ -105,36 +106,42 @@ proptest! {
 
     /// The full tracing campaign — fault dropping, any width, any
     /// schedule and worker count, collapse on or off — produces the same
-    /// `first_detection` vector as the reference dropping campaign.
+    /// `first_detection` vector as the reference dropping campaign, on
+    /// the mostly-dead `random_logic` family and on `observable_logic`,
+    /// whose faults almost all propagate to an output.
     #[test]
     fn traced_campaign_matches_scalar_any_schedule(seed in 1u64..200) {
-        let net = generate::random_logic(8, 110, 4, seed);
-        let faults = universe::stuck_at_universe(&net);
-        let patterns = random_patterns(8, 180, seed);
-        let sim = FaultSimulator::new(&net);
-        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
-        let collapsed = collapse(&net, &faults);
-        for lane_width in [1usize, 2, 4, 8] {
-            for workers in [1usize, 3] {
-                for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 7 }] {
-                    for collapse_on in [false, true] {
-                        let mut opts = PackedOptions::wide(lane_width).traced();
-                        if collapse_on {
-                            opts = opts.with_collapsed(&collapsed);
+        for net in [
+            generate::random_logic(8, 110, 4, seed),
+            generate::observable_logic(8, 110, 16, seed),
+        ] {
+            let faults = universe::stuck_at_universe(&net);
+            let patterns = random_patterns(8, 180, seed);
+            let sim = FaultSimulator::new(&net);
+            let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
+            let collapsed = collapse(&net, &faults);
+            for lane_width in [1usize, 2, 4, 8] {
+                for workers in [1usize, 3] {
+                    for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 7 }] {
+                        for collapse_on in [false, true] {
+                            let mut opts = PackedOptions::wide(lane_width).traced();
+                            if collapse_on {
+                                opts = opts.with_collapsed(&collapsed);
+                            }
+                            let run = sim.campaign_packed(
+                                &faults,
+                                &patterns,
+                                &Campaign::new(0, workers).with_schedule(schedule),
+                                opts,
+                            );
+                            prop_assert_eq!(
+                                run.report.first_detection(),
+                                oracle.first_detection(),
+                                "{}: W = {}, workers = {}, schedule = {:?}, collapse = {}",
+                                net.name(), lane_width, workers, schedule, collapse_on
+                            );
+                            prop_assert!(run.stats.traced_fraction().is_finite());
                         }
-                        let run = sim.campaign_packed(
-                            &faults,
-                            &patterns,
-                            &Campaign::new(0, workers).with_schedule(schedule),
-                            opts,
-                        );
-                        prop_assert_eq!(
-                            run.report.first_detection(),
-                            oracle.first_detection(),
-                            "W = {}, workers = {}, schedule = {:?}, collapse = {}",
-                            lane_width, workers, schedule, collapse_on
-                        );
-                        prop_assert!(run.stats.traced_fraction().is_finite());
                     }
                 }
             }
@@ -164,16 +171,19 @@ fn reconvergent_stem_takes_fallback_walk() {
         .collect();
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
-    let tplan = TracePlan::build(c, &faults);
-    assert_eq!(tplan.class_of(g2.index()), NetClass::Stem);
+    let det = Detector::new(c);
+    assert_eq!(class_of(c, g2.index()), NetClass::Stem);
     assert_eq!(
-        tplan.class_of(g1.index()),
+        class_of(c, g1.index()),
         NetClass::Chain {
             consumer: g2.index() as u32,
             pin: 0
         }
     );
-    assert!(tplan.stems() >= 1, "the fault list must reach the stem");
+    assert!(
+        det.statically_traced(c, &faults) < faults.len(),
+        "the fault list must reach the stem"
+    );
 
     let oracle = ReferenceFaultSimulator::new(&net);
     let mut traced = TraceScratch::<u64>::new(c.len());
@@ -184,7 +194,7 @@ fn reconvergent_stem_takes_fallback_walk() {
     let live = u64::live_mask(patterns.len());
     for &fault in &faults {
         assert_eq!(
-            tplan.detect_traced(c, &golden, &mut traced, fault).unwrap() & live,
+            det.detect_traced(c, &golden, &mut traced, fault) & live,
             oracle.detection_mask(&net, &words, &golden, fault) & live,
             "{fault}"
         );
@@ -199,24 +209,16 @@ fn reconvergent_stem_takes_fallback_walk() {
     );
 }
 
-/// A fault outside the plan's build list surfaces the typed error — for
-/// both the tracing front-end and the walking engine — instead of the
-/// old `unwrap` panic.
+/// A detector is built from the design alone: one built before any
+/// fault list exists answers a fault at every site — for both the
+/// tracing front-end and the walking engine — exactly like the oracle.
 #[test]
-fn unplanned_site_is_a_typed_error() {
+fn any_site_detects_without_a_fault_list() {
     let net = generate::c17();
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
-    let planned = vec![universe::stuck_at_universe(&net)[0]];
-    let tplan = TracePlan::build(c, &planned);
-    let oracle = CampaignPlan::build(c, &planned);
-    // A site that is neither a fault root nor a stem pseudo-root of the
-    // singleton plan.
-    let unplanned = *universe::stuck_at_universe(&net)
-        .iter()
-        .find(|f| !tplan.plan().planned(f.site().gate().index()))
-        .expect("c17 has more sites than the singleton plan");
-    let gate = unplanned.site().gate().index();
+    let det = Detector::new(c);
+    let oracle = ReferenceFaultSimulator::new(&net);
     let patterns: Vec<Vec<bool>> = (0..8u32)
         .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
         .collect();
@@ -225,16 +227,22 @@ fn unplanned_site_is_a_typed_error() {
     c.eval_words_into(&words, None, &mut golden).unwrap();
     let mut traced = TraceScratch::<u64>::new(c.len());
     traced.load_golden(&golden);
-    assert_eq!(
-        tplan.detect_traced(c, &golden, &mut traced, unplanned),
-        Err(FaultError::UnplannedSite { gate })
-    );
     let mut scratch = FaultScratch::new(c.len());
     scratch.load_golden(&golden);
-    assert_eq!(
-        oracle.detect_packed(c, &golden, &mut scratch, unplanned),
-        Err(FaultError::UnplannedSite { gate })
-    );
+    let live = u64::live_mask(patterns.len());
+    for fault in universe::stuck_at_universe(&net) {
+        let want = oracle.detection_mask(&net, &words, &golden, fault) & live;
+        assert_eq!(
+            det.detect_traced(c, &golden, &mut traced, fault) & live,
+            want,
+            "{fault}"
+        );
+        assert_eq!(
+            det.detect_packed(c, &golden, &mut scratch, fault) & live,
+            want,
+            "{fault}"
+        );
+    }
 }
 
 /// An empty fault universe through the tracing campaign keeps every
@@ -265,9 +273,8 @@ fn empty_universe_stats_stay_finite() {
     }
 }
 
-/// `detect_traced` also rejects pin faults whose owning gate is
-/// unplanned, and handles pin faults identically to the oracle when
-/// planned (excitation at the owning gate's output).
+/// `detect_traced` handles pin faults identically to the oracle
+/// (excitation at the owning gate's output).
 #[test]
 fn pin_faults_trace_like_the_oracle() {
     let net = generate::c17();
@@ -279,7 +286,7 @@ fn pin_faults_trace_like_the_oracle() {
     let patterns = random_patterns(5, 32, 3);
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
-    let tplan = TracePlan::build(c, &faults);
+    let det = Detector::new(c);
     let oracle = ReferenceFaultSimulator::new(&net);
     let mut traced = TraceScratch::<PackedWord<2>>::new(c.len());
     for chunk in patterns.chunks(128) {
@@ -289,7 +296,7 @@ fn pin_faults_trace_like_the_oracle() {
         traced.load_golden(&golden);
         let live = PackedWord::<2>::live_mask(chunk.len());
         for &fault in &faults {
-            let mask = tplan.detect_traced(c, &golden, &mut traced, fault).unwrap() & live;
+            let mask = det.detect_traced(c, &golden, &mut traced, fault) & live;
             for (sub_i, sub) in chunk.chunks(64).enumerate() {
                 let sub_words = pack_patterns_wide::<u64>(sub);
                 let mut sub_golden = Vec::new();

@@ -9,7 +9,7 @@
 //! schedules are pinned against the oracle in `ppsfp_equivalence.rs`.
 
 use proptest::prelude::*;
-use rescue_faults::engine::{CampaignPlan, FaultScratch};
+use rescue_faults::engine::{Detector, FaultScratch};
 use rescue_faults::model::BridgingFault;
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::FaultSimulator;
@@ -65,12 +65,12 @@ proptest! {
         let golden = fast.golden(&words);
         prop_assert_eq!(&golden, &slow.golden(&net, &words));
         let c = fast.compiled();
-        let plan = CampaignPlan::build(c, &faults);
+        let det = Detector::new(c);
         let mut scratch = FaultScratch::new(c.len());
         scratch.load_golden(&golden);
         for &fault in &faults {
             prop_assert_eq!(
-                plan.detect_packed(c, &golden, &mut scratch, fault).unwrap(),
+                det.detect_packed(c, &golden, &mut scratch, fault),
                 slow.detection_mask(&net, &words, &golden, fault),
                 "{}", fault
             );

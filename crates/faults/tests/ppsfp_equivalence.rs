@@ -2,7 +2,7 @@
 //! full-resimulation oracle, and of the work-stealing scheduler against
 //! the static sharded driver.
 //!
-//! [`CampaignPlan::detect_packed`] factors detection into one
+//! [`Detector::detect_packed`] factors detection into one
 //! observability walk per (site, 64-pattern word) shared by every fault
 //! at that site; these tests pin down that the factoring is **exact** —
 //! detection masks per word equal [`ReferenceFaultSimulator`]'s, and
@@ -12,11 +12,12 @@
 //! `run_sharded` no matter which worker claims which chunk.
 
 use proptest::prelude::*;
-use rescue_campaign::{ArtifactStore, Campaign, MemStore, Schedule};
-use rescue_faults::engine::{CampaignPlan, FaultScratch};
+use rescue_campaign::{Campaign, MemStore, Schedule};
+use rescue_faults::engine::{Detector, FaultScratch};
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
+use rescue_netlist::cone::comb_fanout_cone;
 use rescue_netlist::generate;
 use rescue_sim::parallel::{live_mask, pack_patterns};
 
@@ -50,7 +51,7 @@ proptest! {
         let sim = FaultSimulator::new(&net);
         let oracle = ReferenceFaultSimulator::new(&net);
         let c = sim.compiled();
-        let plan = CampaignPlan::build(c, &faults);
+        let det = Detector::new(c);
         let mut packed = FaultScratch::new(c.len());
         for chunk in patterns.chunks(64) {
             let words = pack_patterns(chunk);
@@ -59,7 +60,7 @@ proptest! {
             packed.load_golden(&golden);
             for &fault in &faults {
                 prop_assert_eq!(
-                    plan.detect_packed(c, &golden, &mut packed, fault).unwrap() & live,
+                    det.detect_packed(c, &golden, &mut packed, fault) & live,
                     oracle.detection_mask(&net, &words, &golden, fault) & live,
                     "{}", fault
                 );
@@ -70,32 +71,38 @@ proptest! {
     /// The full packed campaign — with fault dropping — produces the
     /// same `first_detection` vector as the reference dropping campaign,
     /// for 1, 2, 4 and 8 workers under both schedules and several
-    /// explicit chunk grains.
+    /// explicit chunk grains, on the mostly-dead `random_logic` family
+    /// and on `observable_logic`, whose faults almost all propagate to an
+    /// output.
     #[test]
     fn packed_campaign_matches_scalar_any_schedule(seed in 1u64..300) {
-        let net = generate::random_logic(8, 110, 4, seed);
-        let faults = universe::stuck_at_universe(&net);
-        let patterns = random_patterns(8, 180, seed);
-        let sim = FaultSimulator::new(&net);
-        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
-        for workers in [1usize, 2, 4, 8] {
-            for schedule in [
-                Schedule::Static,
-                Schedule::Dynamic { chunk: 0 },
-                Schedule::Dynamic { chunk: 1 },
-                Schedule::Dynamic { chunk: 17 },
-            ] {
-                let run = sim.campaign_packed(
-                    &faults,
-                    &patterns,
-                    &Campaign::new(0, workers).with_schedule(schedule),
-                    PackedOptions::default(),
-                );
-                prop_assert_eq!(
-                    run.report.first_detection(),
-                    oracle.first_detection(),
-                    "workers = {}, schedule = {:?}", workers, schedule
-                );
+        for net in [
+            generate::random_logic(8, 110, 4, seed),
+            generate::observable_logic(8, 110, 16, seed),
+        ] {
+            let faults = universe::stuck_at_universe(&net);
+            let patterns = random_patterns(8, 180, seed);
+            let sim = FaultSimulator::new(&net);
+            let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
+            for workers in [1usize, 2, 4, 8] {
+                for schedule in [
+                    Schedule::Static,
+                    Schedule::Dynamic { chunk: 0 },
+                    Schedule::Dynamic { chunk: 1 },
+                    Schedule::Dynamic { chunk: 17 },
+                ] {
+                    let run = sim.campaign_packed(
+                        &faults,
+                        &patterns,
+                        &Campaign::new(0, workers).with_schedule(schedule),
+                        PackedOptions::default(),
+                    );
+                    prop_assert_eq!(
+                        run.report.first_detection(),
+                        oracle.first_detection(),
+                        "{}: workers = {}, schedule = {:?}", net.name(), workers, schedule
+                    );
+                }
             }
         }
     }
@@ -112,7 +119,7 @@ proptest! {
         let sim = FaultSimulator::new(&net);
         let oracle = ReferenceFaultSimulator::new(&net);
         let c = sim.compiled();
-        let plan = CampaignPlan::build(c, &faults);
+        let det = Detector::new(c);
         let mut packed = FaultScratch::new(c.len());
         let mut first_oracle = vec![None; faults.len()];
         let mut first_packed = vec![None; faults.len()];
@@ -124,7 +131,7 @@ proptest! {
             // No `continue` on prior detection: both paths keep probing.
             for (fi, &fault) in faults.iter().enumerate() {
                 let mo = oracle.detection_mask(&net, &words, &golden, fault) & live;
-                let mp = plan.detect_packed(c, &golden, &mut packed, fault).unwrap() & live;
+                let mp = det.detect_packed(c, &golden, &mut packed, fault) & live;
                 prop_assert_eq!(mo, mp, "{}", fault);
                 for (first, mask) in [(&mut first_oracle, mo), (&mut first_packed, mp)] {
                     if first[fi].is_none() && mask != 0 {
@@ -179,8 +186,7 @@ proptest! {
 
 /// Sites whose fanout cone reaches no primary output are statically
 /// unobservable: the packed path must report 0 for every fault there,
-/// and `CampaignPlan::observable` must agree with a
-/// direct cone scan.
+/// and `Detector::observable` must agree with a direct cone scan.
 #[test]
 fn unobservable_sites_detect_nothing() {
     let net = generate::random_logic(10, 400, 2, 99);
@@ -188,27 +194,21 @@ fn unobservable_sites_detect_nothing() {
     let patterns = random_patterns(10, 64, 99);
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
-    let plan = CampaignPlan::build(c, &faults);
+    let det = Detector::new(c);
     let words = pack_patterns(&patterns);
     let golden = sim.golden(&words);
     let mut scratch = FaultScratch::new(c.len());
     scratch.load_golden(&golden);
-    let is_po = {
-        let mut v = vec![false; c.len()];
-        for &g in c.po_drivers() {
-            v[g as usize] = true;
-        }
-        v
-    };
     let mut unobservable = 0;
     for &fault in &faults {
-        let root = fault.site().gate().index();
-        let cone = plan.cone_of(root).expect("fault root has a cone");
-        let reachable = is_po[root] || cone.iter().any(|&g| is_po[g as usize]);
-        assert_eq!(plan.observable(root), reachable);
+        let root = fault.site().gate();
+        let reachable = comb_fanout_cone(&net, &[root])
+            .iter()
+            .any(|&g| c.is_po(g.index()));
+        assert_eq!(det.observable(root.index()), reachable);
         if !reachable {
             unobservable += 1;
-            assert_eq!(plan.detect_packed(c, &golden, &mut scratch, fault), Ok(0));
+            assert_eq!(det.detect_packed(c, &golden, &mut scratch, fault), 0);
         }
     }
     assert!(
@@ -220,8 +220,8 @@ fn unobservable_sites_detect_nothing() {
 /// Universes large enough for the walk list and the report expansion to
 /// run sharded over worker threads. At every worker count the collapsed
 /// campaign gives the 1-worker uncollapsed report and tallies, and the
-/// walk list keeps its order: the plan artifact the 1-worker run cached
-/// is hit, and a durable run reuses the units a 1-worker run stored.
+/// walk list keeps its order: a durable run reuses the units a 1-worker
+/// run stored.
 #[test]
 fn sharded_bookkeeping_matches_one_worker() {
     let net = generate::random_logic(16, 14_000, 8, 11);
@@ -232,10 +232,7 @@ fn sharded_bookkeeping_matches_one_worker() {
     let sim = FaultSimulator::new(&net);
     let plain = PackedOptions::default().traced();
     let oracle = sim.campaign_packed(&faults, &patterns, &Campaign::new(1, 1), plain);
-    let dir = std::env::temp_dir().join(format!("rescue-sharded-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let artifacts = ArtifactStore::open(&dir);
-    let opts = plain.with_collapsed(&collapsed).with_artifacts(&artifacts);
+    let opts = plain.with_collapsed(&collapsed);
     let store = MemStore::new();
     for workers in [1, 2, 3] {
         let campaign = Campaign::new(1, workers);
@@ -243,11 +240,6 @@ fn sharded_bookkeeping_matches_one_worker() {
         assert_eq!(run.report, oracle.report, "{workers} workers");
         assert_eq!(run.stats.tally, oracle.stats.tally, "{workers} workers");
         assert_eq!(run.stats.dropped, oracle.stats.dropped, "{workers} workers");
-        let plans = std::fs::read_dir(artifacts.dir()).unwrap().count();
-        assert_eq!(
-            plans, 1,
-            "{workers} workers: the walk list changed its plan key"
-        );
         let durable = sim.campaign_packed_durable(&faults, &patterns, &campaign, opts, &store, 64);
         assert_eq!(durable.report, oracle.report, "{workers} workers, durable");
         assert!(
@@ -264,5 +256,4 @@ fn sharded_bookkeeping_matches_one_worker() {
             "{workers} workers, durable"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::collapse::collapse;
-use rescue_faults::engine::{CampaignPlan, WideScratch};
+use rescue_faults::engine::{Detector, WideScratch};
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
@@ -43,7 +43,7 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
     let patterns = random_patterns(7, 300, seed);
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
-    let plan = CampaignPlan::build(c, &faults);
+    let det = Detector::new(c);
     let oracle = ReferenceFaultSimulator::new(&net);
     let mut wide = WideScratch::<Wd>::new(c.len());
     for chunk in patterns.chunks(Wd::LANES) {
@@ -53,7 +53,7 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
         wide.load_golden(&golden);
         let live = Wd::live_mask(chunk.len());
         for &fault in &faults {
-            let mask = plan.detect_packed(c, &golden, &mut wide, fault).unwrap() & live;
+            let mask = det.detect_packed(c, &golden, &mut wide, fault) & live;
             // Reference oracle on each 64-pattern slice of the wide chunk.
             for (sub_i, sub) in chunk.chunks(64).enumerate() {
                 let sub_words = pack_patterns_wide::<u64>(sub);

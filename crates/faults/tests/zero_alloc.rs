@@ -3,10 +3,11 @@
 //!
 //! The million-gate execution path promises that after the first pass
 //! over a (golden chunk, fault range) workload — which populates the
-//! scratch arenas, touched-list capacity, obs memo and trace paths —
-//! repeating the per-chunk loop (`eval_words_fill` into a flat golden
-//! arena, `load_chunk` tag-skip, `detect_packed` / `detect_traced` per
-//! fault) never touches the allocator again. A wrapping
+//! scratch arenas, touched-list capacity, per-level event buckets, obs
+//! memo and trace paths — repeating the per-chunk loop
+//! (`eval_words_fill` into a flat golden arena, `load_chunk` tag-skip,
+//! `detect_packed` / `detect_traced` per fault) never touches the
+//! allocator again. A wrapping
 //! `#[global_allocator]` counts every `alloc`/`realloc`; the test warms
 //! up, snapshots the counter, re-runs the loop and asserts a zero
 //! delta.
@@ -40,8 +41,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-use rescue_faults::engine::{CampaignPlan, WideScratch};
-use rescue_faults::trace::{TracePlan, TraceScratch};
+use rescue_faults::engine::{Detector, WideScratch};
+use rescue_faults::trace::TraceScratch;
 use rescue_faults::universe;
 use rescue_netlist::{generate, renumber};
 use rescue_sim::compiled::CompiledNetlist;
@@ -75,8 +76,7 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
 #[allow(clippy::too_many_arguments)]
 fn steady_pass<Wd: SimWord>(
     c: &CompiledNetlist,
-    plan: &CampaignPlan,
-    tplan: &TracePlan,
+    det: &Detector,
     faults: &[rescue_faults::Fault],
     input_words: &[Vec<Wd>],
     golden: &mut [Wd],
@@ -93,8 +93,8 @@ fn steady_pass<Wd: SimWord>(
             scratch.load_chunk(ci as u32, arena);
             tscratch.load_chunk(ci as u32, arena);
             for &fault in slice {
-                let m = plan.detect_packed(c, arena, scratch, fault).unwrap();
-                let t = tplan.detect_traced(c, arena, tscratch, fault).unwrap();
+                let m = det.detect_packed(c, arena, scratch, fault);
+                let t = det.detect_traced(c, arena, tscratch, fault);
                 assert_eq!(m, t, "{fault}: traced engine diverged");
                 if m != Wd::ZERO {
                     detected += 1;
@@ -116,7 +116,7 @@ fn steady_state_chunk_loop_is_allocation_free() {
     let patterns = random_patterns(8, 3 * Wd::LANES, 0xA110C);
 
     // Setup (allocations allowed): pack every chunk up front, size the
-    // flat golden arena, build both plans, size both scratches.
+    // flat golden arena, run the reachability sweep, size both scratches.
     let input_words: Vec<Vec<Wd>> = patterns
         .chunks(Wd::LANES)
         .map(|chunk| {
@@ -126,17 +126,15 @@ fn steady_state_chunk_loop_is_allocation_free() {
         })
         .collect();
     let mut golden = vec![Wd::ZERO; input_words.len() * c.len()];
-    let plan = CampaignPlan::build(&c, &faults);
-    let tplan = TracePlan::build(&c, &faults);
+    let det = Detector::new(&c);
     let mut scratch = WideScratch::<Wd>::new(c.len());
     let mut tscratch = TraceScratch::<Wd>::new(c.len());
 
-    // Warm-up pass: touched lists, obs memos and trace paths grow to
-    // their high-water marks here.
+    // Warm-up pass: touched lists, level buckets, obs memos and trace
+    // paths grow to their high-water marks here.
     let warm = steady_pass(
         &c,
-        &plan,
-        &tplan,
+        &det,
         &faults,
         &input_words,
         &mut golden,
@@ -150,8 +148,7 @@ fn steady_state_chunk_loop_is_allocation_free() {
     for _ in 0..3 {
         let again = steady_pass(
             &c,
-            &plan,
-            &tplan,
+            &det,
             &faults,
             &input_words,
             &mut golden,

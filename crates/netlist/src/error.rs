@@ -52,7 +52,7 @@ pub enum NetlistError {
         message: String,
     },
     /// The netlist has too many nets for the `u32` index arenas used by
-    /// the compiled representation and campaign plans.
+    /// the compiled representation.
     TooLarge {
         /// Number of gates/nets in the offending netlist.
         gates: usize,
@@ -110,7 +110,7 @@ impl fmt::Display for NetlistError {
 pub const MAX_NETS: usize = u32::MAX as usize;
 
 /// Checks that `gates` nets fit the `u32` index arenas used by compiled
-/// netlists and campaign plans.
+/// netlists.
 ///
 /// # Errors
 ///

@@ -385,6 +385,50 @@ pub fn control_fsm() -> Netlist {
 pub fn random_logic(n_inputs: usize, n_gates: usize, n_outputs: usize, seed: u64) -> Netlist {
     assert!(n_inputs >= 2 && n_gates >= n_outputs && n_outputs >= 1);
     let mut b = NetlistBuilder::new(format!("rand_{n_inputs}x{n_gates}_{seed}"));
+    let sigs = random_gates(&mut b, n_inputs, n_gates, usize::MAX, seed, |_| {});
+    let total = sigs.len();
+    for (k, &g) in sigs[total - n_outputs..].iter().enumerate() {
+        b.output(format!("o{k}"), g);
+    }
+    b.finish()
+}
+
+/// [`random_logic`]'s gate draw with fanins taken from the last `window`
+/// signals only, and every gate without fanout exported as a primary
+/// output. Unlike [`random_logic`], whose few outputs leave most of the
+/// design as dead logic, almost every fault here can reach an output,
+/// and logic depth grows with `n_gates / window` as in a synthesized
+/// netlist. Deterministic in `seed`.
+pub fn observable_logic(n_inputs: usize, n_gates: usize, window: usize, seed: u64) -> Netlist {
+    assert!(n_inputs >= 2 && n_gates >= 1 && window >= 1);
+    let mut b = NetlistBuilder::new(format!("obs_{n_inputs}x{n_gates}w{window}_{seed}"));
+    let mut has_fanout = vec![false; n_inputs + n_gates];
+    let sigs = random_gates(&mut b, n_inputs, n_gates, window, seed, |i| {
+        has_fanout[i] = true;
+    });
+    let mut k = 0;
+    for (i, &g) in sigs.iter().enumerate().skip(n_inputs) {
+        if !has_fanout[i] {
+            b.output(format!("o{k}"), g);
+            k += 1;
+        }
+    }
+    b.finish()
+}
+
+/// Adds `n_inputs` inputs and `n_gates` random two-input gates to `b`,
+/// each gate drawing its fanins from the last `window` signals (all of
+/// them when `window` is at least the signal count), and reports the
+/// position of every drawn fanin to `drawn`. Returns every signal,
+/// inputs first, in creation order.
+fn random_gates(
+    b: &mut NetlistBuilder,
+    n_inputs: usize,
+    n_gates: usize,
+    window: usize,
+    seed: u64,
+    mut drawn: impl FnMut(usize),
+) -> Vec<GateId> {
     let mut state = seed.max(1);
     let mut rng = move || {
         state ^= state << 13;
@@ -392,11 +436,14 @@ pub fn random_logic(n_inputs: usize, n_gates: usize, n_outputs: usize, seed: u64
         state ^= state << 17;
         state
     };
-    let ins = b.inputs("i", n_inputs);
-    let mut sigs: Vec<GateId> = ins;
+    let mut sigs: Vec<GateId> = b.inputs("i", n_inputs);
     for _ in 0..n_gates {
-        let a = sigs[(rng() as usize) % sigs.len()];
-        let c = sigs[(rng() as usize) % sigs.len()];
+        let lo = sigs.len().saturating_sub(window);
+        let span = sigs.len() - lo;
+        let (ia, ic) = (lo + (rng() as usize) % span, lo + (rng() as usize) % span);
+        drawn(ia);
+        drawn(ic);
+        let (a, c) = (sigs[ia], sigs[ic]);
         let g = match rng() % 6 {
             0 => b.and(a, c),
             1 => b.or(a, c),
@@ -407,11 +454,7 @@ pub fn random_logic(n_inputs: usize, n_gates: usize, n_outputs: usize, seed: u64
         };
         sigs.push(g);
     }
-    let total = sigs.len();
-    for (k, &g) in sigs[total - n_outputs..].iter().enumerate() {
-        b.output(format!("o{k}"), g);
-    }
-    b.finish()
+    sigs
 }
 
 /// One rung of the [`scaling_ladder`]: a named `random_logic` recipe.
@@ -570,6 +613,23 @@ mod tests {
         assert_eq!(t.primary_inputs().len(), 5);
         assert_eq!(t.primary_outputs().len(), 2);
         assert!(t.len() > 3 * 6, "three copies plus voters");
+    }
+
+    #[test]
+    fn observable_logic_windows_fanins_and_exports_every_sink() {
+        let n = observable_logic(6, 400, 16, 5);
+        assert_eq!(n, observable_logic(6, 400, 16, 5), "deterministic");
+        assert!(n.validate().is_ok());
+        let mut has_fanout = vec![false; n.len()];
+        for (id, g) in n.iter() {
+            for &fanin in g.inputs() {
+                has_fanout[fanin.index()] = true;
+                assert!(id.index() - fanin.index() <= 16, "fanin outside the window");
+            }
+        }
+        let outputs: Vec<usize> = n.primary_outputs().iter().map(|(_, g)| g.index()).collect();
+        let sinks: Vec<usize> = (6..n.len()).filter(|&g| !has_fanout[g]).collect();
+        assert_eq!(outputs, sinks, "exactly the fanout-free gates are outputs");
     }
 
     #[test]

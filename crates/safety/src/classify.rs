@@ -1,13 +1,14 @@
 //! ISO 26262 fault classification.
 //!
 //! Classification campaigns run on the shared [`rescue_campaign`] driver
-//! and the incremental cone engine: instead of fully resimulating the
-//! design per fault, each fault's effect is propagated through its
-//! memoized fanout cone and observed at the functional/checker output
-//! groups ([`rescue_faults::engine::CampaignPlan::detect_observed`]).
+//! and the event-driven propagation engine: instead of fully
+//! resimulating the design per fault, each fault's effect is propagated
+//! level by level through the gates it reaches and observed at the
+//! functional/checker output groups
+//! ([`rescue_faults::engine::detect_observed`]).
 
 use rescue_campaign::{Campaign, CampaignStats};
-use rescue_faults::engine::{CampaignPlan, FaultScratch, ObserverGroups};
+use rescue_faults::engine::{detect_observed, FaultScratch, ObserverGroups};
 use rescue_faults::{simulate::FaultSimulator, Fault};
 use rescue_netlist::Netlist;
 use rescue_sim::parallel::{live_mask, pack_patterns};
@@ -110,7 +111,7 @@ pub fn classify(
 
 /// [`classify`] on the shared [`Campaign`] driver: faults are sharded
 /// over scoped workers, each propagating fault effects through the
-/// memoized cone engine and observing the two output groups. Verdicts
+/// event-driven engine and observing the two output groups. Verdicts
 /// are identical for every worker count.
 ///
 /// # Panics
@@ -138,7 +139,6 @@ pub fn classify_with_stats(
     let sim = FaultSimulator::new(netlist);
     let c = sim.compiled();
     let observers = ObserverGroups::new(c.len(), &func, &chk);
-    let plan = CampaignPlan::build(c, faults);
     // Per-chunk golden values and live mask, shared read-only.
     let chunks: Vec<(Vec<u64>, u64)> = patterns
         .chunks(64)
@@ -160,7 +160,7 @@ pub fn classify_with_stats(
                         continue; // Residual is already locked in
                     }
                     let (func_mask, chk_mask) =
-                        plan.detect_observed(c, golden, scratch, fault, &observers);
+                        detect_observed(c, golden, scratch, fault, &observers);
                     let func_mask = func_mask & live;
                     let chk_mask = chk_mask & live;
                     if func_mask != 0 {

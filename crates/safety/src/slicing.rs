@@ -11,7 +11,7 @@
 //! that are *not* masked by a controlling side-input.
 
 use rescue_campaign::{Campaign, CampaignStats};
-use rescue_faults::engine::{CampaignPlan, FaultScratch};
+use rescue_faults::engine::{Detector, FaultScratch};
 use rescue_faults::{simulate::FaultSimulator, CampaignReport, Fault};
 use rescue_netlist::{GateId, GateKind, Netlist};
 use rescue_sim::comb::eval_bool;
@@ -154,7 +154,7 @@ pub fn sliced_campaign_on(
     let _campaign_span = span!("safety.slicing", faults = faults.len());
     let sim = FaultSimulator::new(netlist);
     let c = sim.compiled();
-    let plan = CampaignPlan::build(c, faults);
+    let det = Detector::new(c);
     // Golden values and slice membership per pattern, shared read-only.
     let prep: Vec<(Vec<u64>, Vec<bool>)> = {
         let _prep_span = span!("safety.slicing.prep", patterns = patterns.len());
@@ -192,9 +192,7 @@ pub fn sliced_campaign_on(
                         continue; // provably undetected by this pattern
                     }
                     *run += 1;
-                    let mask = plan
-                        .detect_packed(c, golden, scratch, fault)
-                        .expect("fault root missing from campaign plan");
+                    let mask = det.detect_packed(c, golden, scratch, fault);
                     if mask & 1 != 0 {
                         *detected = Some(pi);
                     }

@@ -10,7 +10,7 @@
 
 use crate::classify::FaultClass;
 use rescue_campaign::{Campaign, CampaignStats};
-use rescue_faults::engine::{CampaignPlan, FaultScratch, ObserverGroups};
+use rescue_faults::engine::{detect_observed, FaultScratch, ObserverGroups};
 use rescue_faults::{simulate::FaultSimulator, Fault, FaultKind, FaultSite};
 use rescue_netlist::Netlist;
 use rescue_sim::parallel::pack_patterns;
@@ -91,7 +91,7 @@ pub fn classify_transitions(
 /// [`classify_transitions`] on the shared [`Campaign`] driver: pattern
 /// pairs are simulated once, then faults are sharded over scoped
 /// workers, each applying the launch-on-shift reduction through the
-/// incremental cone engine. Verdicts are identical for every worker
+/// event-driven propagation engine. Verdicts are identical for every worker
 /// count.
 ///
 /// # Panics
@@ -139,7 +139,6 @@ pub fn classify_transitions_with_stats(
             (site.index(), from, to, eq)
         })
         .collect();
-    let plan = CampaignPlan::build(c, &specs.iter().map(|s| s.3).collect::<Vec<_>>());
     // Launch/capture golden values per consecutive pair, shared read-only.
     let pairs: Vec<(Vec<u64>, Vec<u64>)> = patterns
         .windows(2)
@@ -167,7 +166,7 @@ pub fn classify_transitions_with_stats(
                         continue; // transition not launched by this pair
                     }
                     let (func_mask, chk_mask) =
-                        plan.detect_observed(c, g_capture, scratch, eq, &observers);
+                        detect_observed(c, g_capture, scratch, eq, &observers);
                     let func_hit = func_mask & 1 != 0;
                     let chk_hit = chk_mask & 1 != 0;
                     if func_hit {

@@ -12,8 +12,8 @@
 //!   `eval_order` — the same order with `Input`/`Dff` sources removed,
 //!   so evaluation loops carry no per-gate kind dispatch for sources;
 //! * `levels[g]` / `topo_pos[g]` — gate level and position within
-//!   `order` (the inverse permutation), used by incremental fault
-//!   propagation to walk fanout cones in dependency order;
+//!   `order` (the inverse permutation); incremental fault propagation
+//!   buckets its events by level;
 //! * `fan[fan_offsets[g] .. fan_offsets[g + 1]]` — gate `g`'s direct
 //!   consumers (fanout CSR), computed once at compile time instead of
 //!   per [`Netlist::fanout`] call;

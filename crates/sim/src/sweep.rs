@@ -22,7 +22,7 @@
 //! The same compile step also flattens every gate into a per-gate *fast
 //! descriptor* (opcode byte + two resolved input indices), which
 //! [`SweepPlan::eval_gate`] and [`SweepPlan::eval_gate_pin_forced`]
-//! dispatch on. Single-gate callers — the event-driven cone walks and
+//! dispatch on. Single-gate callers — the event-driven walks and
 //! the critical-path-tracing chain ascent in `rescue-faults` — go
 //! through these instead of the CSR fold, shaving the dispatch overhead
 //! off the incremental paths too.
@@ -269,7 +269,7 @@ impl SweepPlan {
     }
 
     /// Single-gate fast dispatch with input pin `pin` replaced by `word`
-    /// (the pin stuck-at injection primitive of the cone walks and the
+    /// (the pin stuck-at injection primitive of the event walks and the
     /// CPT sensitization kernel).
     #[inline]
     pub fn eval_gate_pin_forced<Wd: SimWord>(

@@ -169,7 +169,7 @@ fn one_journal_captures_every_layer_of_a_mixed_run() {
     assert!(snap.counter("fault.faults_evaluated").unwrap_or(0) > 0);
     assert!(snap.counter("sim.seq_steps").unwrap_or(0) > 0);
     assert!(
-        snap.histogram("fault.cone_size")
+        snap.histogram("fault.undo_depth_max")
             .map(|h| h.total)
             .unwrap_or(0)
             > 0
